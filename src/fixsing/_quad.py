@@ -17,11 +17,11 @@ the singular point.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 @lru_cache(maxsize=64)
@@ -67,14 +67,90 @@ def integrate_01(g, nodes: int = 512, levels: int = 12) -> float:
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float):
-    """Nodes and weights for int_{-1}^{1} (1-z)^alpha (1+z)^beta f(z) dz."""
-    return _gauss_jacobi_cached(int(n), float(alpha), float(beta))
+    """Nodes and weights for int_{-1}^{1} (1-z)^alpha (1+z)^beta f(z) dz.
+
+    The mirrored pair (beta, alpha) shares one cache entry: its rule is
+    this one reflected, z -> -z, with nodes and weights in reverse order.
+    The returned arrays are read-only views of the cache.
+    """
+    n, alpha, beta = int(n), float(alpha), float(beta)
+    if alpha >= beta:
+        return _gauss_jacobi_cached(n, alpha, beta)
+    z, w = _gauss_jacobi_cached(n, beta, alpha)
+    return -z[::-1], w[::-1]
 
 
 @lru_cache(maxsize=64)
 def _gauss_jacobi_cached(n, alpha, beta):
-    with np.errstate(invalid="ignore"):
-        return roots_jacobi(n, alpha, beta)
+    """Golub-Welsch nodes, one Newton step, weights from the derivative.
+
+    The eigenvalues of the symmetric Jacobi matrix are accurate to about
+    eps in absolute terms, which is poor relative to the distance of the
+    outermost nodes from the endpoints (~1/n^2).  The Newton step on the
+    three-term recurrence is therefore taken in u = z + sig, where
+    sig = +-1 makes |u| the distance to the nearer endpoint and the
+    recurrence factor z - a_k is formed as u - (sig + a_k).  Then both
+    1 - z^2 = |u| (2 - |u|) and the weight formula
+    w ~ 1 / ((1 - z^2) p_n'(z)^2) keep full relative precision where the
+    weight function is singular; the formula with p_(n-1) in place of one
+    p_n' factor does not, because p_(n-1) nearly vanishes at the outermost
+    nodes (Golub & Welsch, Math. Comp. 1969; Hale & Townsend, SISC 2013).
+    The weights are normalised to the zeroth moment
+    mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1).
+    """
+    if n < 1:
+        raise ValueError("need at least one node")
+    if alpha <= -1.0 or beta <= -1.0:
+        raise ValueError("Jacobi exponents must exceed -1")
+    s = alpha + beta
+    k = np.arange(1.0, n)
+    # orthonormal recurrence z p_k = b_(k+1) p_(k+1) + a_k p_k + b_k p_(k-1)
+    a = np.empty(n)
+    a[0] = (beta - alpha) / (s + 2.0)
+    a[1:] = (beta - alpha) * s / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+    b = np.zeros(n + 1)
+    # at k = 1 the factors k + s and 2k + s - 1 are equal and cancel; the
+    # general form is 0/0 when alpha + beta = -1
+    b[1] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta)
+                     / ((s + 2.0) ** 2 * (s + 3.0)))
+    k = np.arange(2.0, n + 1.0)
+    b[2:] = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + s)
+                    / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0)
+                       * (2.0 * k + s - 1.0)))
+    z = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:n], -1))
+
+    sig = np.where(z <= 0.0, 1.0, -1.0)
+    u = z + sig
+    factors = u[None, :] - (sig[None, :] + a[:, None])  # row j: z - a_j
+    bl = b.tolist()
+    p0, p = np.zeros(n), np.ones(n)
+    d0, dp = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        m = factors[j]
+        p0, p = p, (m * p - bl[j] * p0) / bl[j + 1]
+        d0, dp = dp, (m * dp + p0 - bl[j] * d0) / bl[j + 1]
+    v = sig * u
+    # p_n'' from the Jacobi differential equation carries p_n' to the
+    # polished node; the step is ~1e-10 of |u| at most, so first order is
+    # exact in double precision and a second pass is not needed
+    d2p = -((beta - alpha - (s + 2.0) * z) * dp + n * (n + s + 1.0) * p) / (
+        v * (2.0 - v))
+    step = -p / dp
+    u = u + step
+    dp = dp + step * d2p
+    v = sig * u
+    w = 1.0 / (v * (2.0 - v) * dp * dp)
+    mu0 = (2.0 ** (s + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
+           / math.gamma(s + 2.0))
+    w *= mu0 / w.sum()
+    z = u - sig
+    if alpha == beta:
+        # a symmetric weight gets an exactly symmetric rule, so that every
+        # pair, self-mirrored ones included, obeys the reflection identity
+        z, w = 0.5 * (z - z[::-1]), 0.5 * (w + w[::-1])
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 def log_tan_rule(nodes: int = 512, smax: float = 34.0):

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import cauchy, complete, kernels, spectral, verify
-from .complete import SingularSystemError, SolveConfig
-from .kernels import NoBracketError
+from .complete import SolveConfig
 
 LOADS = {
     "uniform": (lambda a: (lambda x: a * x)),
@@ -65,9 +65,12 @@ def _get_float(cfg, key, default=None):
             raise ConfigError(f"missing required parameter {key!r}")
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError(f"parameter {key!r} must be a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"parameter {key!r} must be finite")
+    return value
 
 
 def _get_int(cfg, key, default):
@@ -97,7 +100,10 @@ def _material_lambda(cfg):
     if "lambda" in cfg:
         return _get_float(cfg, "lambda")
     if "G1" in cfg or "G2" in cfg:
-        return _get_float(cfg, "G1") / _get_float(cfg, "G2")
+        g1, g2 = _get_float(cfg, "G1"), _get_float(cfg, "G2")
+        if g2 == 0.0:
+            raise ConfigError("shear modulus G2 must be nonzero")
+        return g1 / g2
     raise ConfigError("specify lambda or the pair G1, G2")
 
 
@@ -362,8 +368,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoBracketError, SingularSystemError,
-            cauchy.SingularSystemError) as exc:
+    except RuntimeError as exc:
+        # NoBracketError, both SingularSystemErrors, and a series that does
+        # not converge
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -77,8 +77,8 @@ class AntiplaneParams:
     series_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("modulus ratio must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError("modulus ratio must be positive and finite")
 
     @property
     def beta(self) -> float:
@@ -100,12 +100,18 @@ def antiplane_D(x, beta: float, tol: float = 1e-12):
     b2 = beta * beta
     xmin = float(np.min(x))
     total = np.zeros_like(x)
+    term = np.empty_like(x)
     power = 1.0
     j = 0
     while True:
         j += 1
         power *= b2
-        total = total + power / (x + 2.0 * j)
+        # in place: a kernel grid (~330 KB) is above glibc's mmap
+        # threshold, so a fresh temporary per term is mapped and faulted in
+        # anew each pass (~80k page faults per solve at lambda = 100)
+        np.add(x, 2.0 * j, out=term)
+        np.divide(power, term, out=term)
+        total += term
         if power * b2 / ((xmin + 2.0 * (j + 1)) * (1.0 - b2)) < tol:
             break
         if j > 10_000:  # unreachable for |beta| < 1, guards against misuse
@@ -162,6 +168,10 @@ class PlaneStrainParams:
     b3: float = 0.0
     gamma0: float | None = None
     beta_eff: float | None = None
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.G1, self.G2, self.nu1, self.nu2))):
+            raise ValueError("elastic constants must be finite")
 
 
 def plane_strain_coeffs(G1: float, G2: float, nu1: float, nu2: float

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import cauchy, complete, kernels, oracle, regimes, spectral, specfun
+from ._quad import gauss_jacobi, graded_rule
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,16 @@ def _specfun_checks(nodes):
                - specfun.chebyshev_U(n - 1, x))))))
     yield CheckResult("specfun", "chebyshev-recurrence", err, 1e-10)
 
+    # reference by the graded rule in x = (1 + z)/2, where 1 - z = 2(1 - x)
+    # and 1 + z = 2x keep their relative precision at both endpoints
+    x, w = graded_rule(2048, levels=40)
     for tag, fn, poly in (("first-kind", specfun.jacobi_chebyshev_integral_T,
                            specfun.chebyshev_T),
                           ("second-kind", specfun.jacobi_chebyshev_integral_U,
                            specfun.chebyshev_U)):
         a1, a2, j = (0.3, 0.6, 3) if tag == "first-kind" else (0.4, -0.2, 4)
-        ref, _ = quad(lambda z: (1 - z)**a1 * (1 + z)**a2 * poly(j, z),
-                      -1.0, 1.0, limit=200)
+        ref = 2.0 * float(np.dot(w, (2.0 * (1.0 - x))**a1 * (2.0 * x)**a2
+                                 * poly(j, 2.0 * x - 1.0)))
         got = fn(a1, a2, j)
         yield CheckResult("specfun", f"jacobi-integral-{tag}",
                           abs(got - ref) / abs(ref), 1e-9)
@@ -158,7 +161,6 @@ def _parity_product(basis, ja, jb, n: int = 120):
     square, (r-1/2, r-1/2) for the cross term, and the mirror image for
     the conjugate-branch square.
     """
-    from ._quad import gauss_jacobi
     r = basis.rho1
     total = 0.0
     pieces = (

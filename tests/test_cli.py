@@ -1,10 +1,14 @@
 """Command-line front end: outputs, routing, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fixsing
 import fixsing.complete
 from fixsing.cli import main
 
@@ -179,6 +183,42 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     code = main(["antiplane", "--lambda", "0.5", "--N", "8", "--t1", "60",
                  "--t2", "64", "--out", str(out)])
     assert code == 3
+
+
+def test_nonconvergent_series_is_a_numerical_failure(tmp_path):
+    # the reflection series at lambda = 1e4 needs more than 10^4 terms; the
+    # library raises RuntimeError, which the CLI reports as exit 3
+    out = tmp_path / "o.csv"
+    code = main(["antiplane", "--lambda", "1e4", "--N", "5", "--t1", "20",
+                 "--t2", "24", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["antiplane", "--lambda", "nan"],
+    ["antiplane", "--lambda", "inf"],
+    ["antiplane", "--lambda", "0.5", "--amplitude", "nan"],
+    ["characteristic", "--beta", "0.5", "--amplitude", "inf"],
+    ["plane-strain", "--lambda", "nan"],
+    ["gamma0", "--lambda-grid", "0.5,nan"],
+    ["antiplane", "--G1", "1", "--G2", "0"],
+], ids=["lambda-nan", "lambda-inf", "amplitude-nan", "amplitude-inf",
+        "plane-strain-nan", "gamma0-grid-nan", "G2-zero"])
+def test_nonfinite_inputs_are_configuration_errors(args, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fixsing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fixsing.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_suite_filter(tmp_path):

@@ -22,6 +22,12 @@ def test_antiplane_params():
         AntiplaneParams(lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_antiplane_params_reject_nonfinite(lam):
+    with pytest.raises(ValueError, match="finite"):
+        AntiplaneParams(lam=lam)
+
+
 def test_reflection_series_vanishes_without_contrast():
     assert antiplane_D(0.3, 0.0) == 0.0
 
@@ -129,6 +135,17 @@ def test_plane_strain_coeffs_validation():
         plane_strain_coeffs(-1.0, 1.0, 0.3, 0.3)
     with pytest.raises(ValueError):
         plane_strain_coeffs(1.0, 1.0, 0.0, 0.3)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 0.3, 0.3),
+                                  (math.inf, 1.0, 0.3, 0.3),
+                                  (1.0, math.inf, 0.3, 0.3),
+                                  (1.0, 1.0, 0.3, math.nan)])
+def test_plane_strain_params_reject_nonfinite(args):
+    with pytest.raises(ValueError):
+        plane_strain_coeffs(*args)
+    with pytest.raises(ValueError, match="finite"):
+        PlaneStrainParams(*args)
 
 
 def test_exponent_function_homogeneous_values():
