@@ -6,7 +6,7 @@ provides its closed-form inverses and solvability conditions across every
 regime of the coupling parameter beta, the generalized spectral basis that
 diagonalizes the operator onto shifted cosines for 0 < |beta| < 1, a
 Galerkin solver for complete equations with a regular kernel, the pure
-Cauchy-kernel solver used for beta = 0, principal-value oracles for
+Cauchy-kernel solver it routes beta = 0 to, principal-value oracles for
 independent verification, and the antiplane / plane-strain crack kernels
 of a composite plane as ready-made applications.
 """
@@ -19,7 +19,7 @@ from .spectral import (SpectralBasis, SeriesSolution, build_basis,
                        characteristic_series_solve, quadratic_load_constant,
                        tan_moment_sequence)
 from .complete import (KernelSpec, SolveConfig, Solution, SingularSystemError,
-                       fourier_load_coeffs, kernel_matrix, solve, evaluate)
+                       fourier_load_coeffs, kernel_matrix, solve)
 from .kernels import (AntiplaneParams, PlaneStrainParams, NoBracketError,
                       antiplane_D, antiplane_kernel, plane_strain_coeffs,
                       lambda_fn, gamma0_root, plane_strain_kernel)
@@ -37,7 +37,7 @@ __all__ = [
     "N_coeff", "M_coeff", "J_integral", "characteristic_series_solve",
     "quadratic_load_constant", "tan_moment_sequence",
     "KernelSpec", "SolveConfig", "Solution", "SingularSystemError",
-    "fourier_load_coeffs", "kernel_matrix", "solve", "evaluate",
+    "fourier_load_coeffs", "kernel_matrix", "solve",
     "AntiplaneParams", "PlaneStrainParams", "NoBracketError", "antiplane_D",
     "antiplane_kernel", "plane_strain_coeffs", "lambda_fn", "gamma0_root",
     "plane_strain_kernel",

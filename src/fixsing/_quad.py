@@ -186,7 +186,12 @@ def _log_tan_rule_cached(nodes: int, smax: float):
 
 
 def safe_ratio(num, den, tol: float = 1e-13):
-    """num/den with entries zeroed where den (and by contract num) vanish."""
+    """num/den with the entries where |den| < tol set to zero.
+
+    The one removable-singularity mask of the package: callers divide at a
+    moving pole where num, or a factor the ratio is later multiplied by,
+    vanishes as well, so the masked entries contribute nothing.
+    """
     tiny = np.abs(den) < tol
     if not tiny.any():
         return num / den

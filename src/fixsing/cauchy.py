@@ -8,8 +8,8 @@ at the endpoints:
 with phi expanded as sqrt(x(1-x)) times second-kind Chebyshev polynomials.
 The weighted Cauchy transform of that basis is -(pi/2) T_{j+1}(2x - 1), so
 cosine-type orthogonality reduces the equation to a second-kind algebraic
-system.  This module doubles as the trusted reference for the beta = 0
-problems the spectral basis excludes.
+system.  fixsing.complete.solve routes every kernel with |beta| below
+CAUCHY_BETA here, since the spectral basis excludes beta = 0.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import complete
+from ._quad import safe_ratio
 from .specfun import chebyshev_T, chebyshev_U
-
-#: condition ceiling mirroring the spectral solver
-_COND_LIMIT = 1e12
-
-
-class SingularSystemError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,7 @@ def cauchy_inverse(F, x, nodes: int = 256):
     xi = _chebyshev_midpoints(nodes)
     fx = np.asarray(F(xs), dtype=float)
     num = np.asarray(F(xi), dtype=float)[None, :] - fx[:, None]
-    den = xi[None, :] - xs[:, None]
-    tiny = np.abs(den) < 1e-14
-    den = np.where(tiny, 1.0, den)
-    ratio = num / den
-    if tiny.any():
-        ratio[np.nonzero(tiny)] = 0.0
+    ratio = safe_ratio(num, xi[None, :] - xs[:, None], tol=1e-14)
     vals = -np.sqrt(xs * (1.0 - xs)) / len(xi) * ratio.sum(axis=1)
     return vals if np.ndim(x) else float(vals[0])
 
@@ -118,6 +108,8 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
     moments follow the midpoint rule under x = (1 + cos(pi s))/2; the rows
     n = 1..N give -b_n/4 + sum_j k_{nj} b_j = -f_n for b_0..b_{N-1}, and
     the n = 0 row sets C (equivalently, the solvability condition).
+    A non-finite load raises ValueError and an ill-conditioned system
+    complete.SingularSystemError, as in the spectral solver.
     """
     if N < 1:
         raise ValueError("truncation order must be positive")
@@ -138,17 +130,12 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
 
     a = k[1:, :].copy()
     a[np.arange(N), np.arange(N)] -= 0.25
-    cond = np.linalg.cond(a)
-    if cond > _COND_LIMIT:
-        raise SingularSystemError(
-            f"truncated system is numerically singular (cond {cond:.2e})"
-        )
-    b = np.linalg.solve(a, -f[1:])
+    b, cond, linear = complete.dense_solve(a, -f[1:])
     c = float(f[0] + k[0] @ b)
 
     report = {
-        "condition_number": float(cond),
-        "linear_residual": float(np.max(np.abs(a @ b + f[1:]))),
+        "condition_number": cond,
+        "linear_residual": linear,
         # the n = 0 row restates the solvability integral; its residual
         # under the solved coefficients
         "solvability_identity": float(abs(f[0] + k[0] @ b - c)),

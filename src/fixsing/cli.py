@@ -76,7 +76,7 @@ def _get_float(cfg, key, default=None):
 def _get_int(cfg, key, default):
     try:
         return int(float(cfg.get(key, default)))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"parameter {key!r} must be an integer") from None
 
 
@@ -84,7 +84,7 @@ def _get_int_list(cfg, key, default):
     raw = str(cfg.get(key, default))
     try:
         return [int(float(tok)) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"parameter {key!r} must be integers") from None
 
 
@@ -123,6 +123,10 @@ def _emit(args, config, columns, rows, diagnostics):
         lines.append(",".join(columns))
         lines += [",".join(str(v) for v in row) for row in payload["rows"]]
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -136,11 +140,14 @@ def _fmt(v):
     return v
 
 
-def _grid(cfg):
+def _profile(cfg, config, sol):
+    """Rows (x, phi) on the output grid, whose size is echoed in config."""
     n = _get_int(cfg, "grid", 21)
     if n < 2:
         raise ConfigError("grid needs at least two points")
-    return np.linspace(0.0, 1.0, n)
+    config["grid"] = n
+    xs = np.linspace(0.0, 1.0, n)
+    return [[x, v] for x, v in zip(xs, sol.evaluate(xs))]
 
 
 def cmd_characteristic(args) -> int:
@@ -156,68 +163,56 @@ def cmd_characteristic(args) -> int:
               "format": args.format}
 
     f = complete.fourier_load_coeffs(F, t1, max(m0s) + 1)
+    sols = [spectral.characteristic_series_solve(
+        spectral.build_basis(beta, m0), f[:m0 + 2], m0) for m0 in m0s]
     if len(m0s) > 1:
-        rows, diag = [], {}
-        for m0 in m0s:
-            basis = spectral.build_basis(beta, m0)
-            sol = spectral.characteristic_series_solve(basis, f[:m0 + 2], m0)
-            rows.append([m0, sol.evaluate(0.5), sol.evaluate(0.25),
-                         sol.constant_C])
+        rows = [[m0, sol.evaluate(0.5), sol.evaluate(0.25), sol.constant_C]
+                for m0, sol in zip(m0s, sols)]
         _emit(args, config, ["m0", "phi_at_0.5", "phi_at_0.25", "C"], rows,
-              diag)
-        return 0
-    m0 = m0s[0]
-    basis = spectral.build_basis(beta, m0)
-    sol = spectral.characteristic_series_solve(basis, f[:m0 + 2], m0)
-    xs = _grid(cfg)
-    config["grid"] = len(xs)
-    rows = [[x, v] for x, v in zip(xs, sol.evaluate(xs))]
-    _emit(args, config, ["x", "phi"], rows, {"C": sol.constant_C})
+              {})
+    else:
+        _emit(args, config, ["x", "phi"], _profile(cfg, config, sols[0]),
+              {"C": sols[0].constant_C})
     return 0
 
 
-def _emit_solution(args, cfg, config, solution, extra):
-    xs = _grid(cfg)
-    config["grid"] = len(xs)
-    rows = [[x, v] for x, v in zip(xs, solution.evaluate(xs))]
-    diag = {"C": solution.constant_C, "phi_at_0.5": solution.evaluate(0.5)}
-    diag.update({k: v for k, v in solution.residual_report.items()})
-    diag.update(extra)
-    _emit(args, config, ["x", "phi"], rows, diag)
+def _solve_and_emit(args, cfg, config, kern, F, extra):
+    """Truncation sweep when N is a list, one diagnosed profile otherwise.
 
-
-def cmd_antiplane(args) -> int:
-    cfg = _merged(args)
-    lam = _material_lambda(cfg)
-    if lam <= 0.0:
-        raise ConfigError("modulus ratio lambda must be positive")
-    F, load_name, amp = _load_fn(cfg)
+    complete.solve picks the route; a Cauchy-route run is tagged
+    solver=cauchy.
+    """
     n_list = _get_int_list(cfg, "N", "17")
     t1 = _get_int(cfg, "t1", 200)
     t2 = _get_int(cfg, "t2", 210)
-    config = {"command": "antiplane", "lambda": lam, "load": load_name,
-              "amplitude": amp, "N": ",".join(map(str, n_list)), "t1": t1,
-              "t2": t2, "format": args.format}
-
-    if lam == 1.0:
-        # no stiffness contrast: the equation is the bare Cauchy one
-        sol = cauchy.cauchy_solve(lambda x, xi: np.zeros_like(x * xi), F,
-                                  N=max(n_list), t1=t1, t2=t2)
-        _emit_solution(args, cfg, config, sol, {"solver": "cauchy"})
-        return 0
-    kern = kernels.antiplane_kernel(kernels.AntiplaneParams(lam=lam))
+    config.update({"N": ",".join(map(str, n_list)), "t1": t1, "t2": t2,
+                   "format": args.format})
     if len(n_list) > 1:
         rows = []
         for n_cut in n_list:
             sol = complete.solve(kern, F, SolveConfig(N=n_cut, t1=t1, t2=t2),
                                  diagnostics=False)
             rows.append([n_cut, sol.evaluate(0.5), sol.constant_C])
-        _emit(args, config, ["N", "phi_at_0.5", "C"], rows,
-              {"beta": kern.beta})
-        return 0
-    sol = complete.solve(kern, F, SolveConfig(N=n_list[0], t1=t1, t2=t2))
-    _emit_solution(args, cfg, config, sol, {"beta": kern.beta})
+        columns, diag = ["N", "phi_at_0.5", "C"], {}
+    else:
+        sol = complete.solve(kern, F, SolveConfig(N=n_list[0], t1=t1, t2=t2))
+        rows, columns = _profile(cfg, config, sol), ["x", "phi"]
+        diag = {"C": sol.constant_C, "phi_at_0.5": sol.evaluate(0.5),
+                **sol.residual_report}
+    if isinstance(sol, cauchy.CauchySolution):
+        extra["solver"] = "cauchy"
+    _emit(args, config, columns, rows, {**diag, **extra})
     return 0
+
+
+def cmd_antiplane(args) -> int:
+    cfg = _merged(args)
+    lam = _material_lambda(cfg)
+    F, load_name, amp = _load_fn(cfg)
+    kern = kernels.antiplane_kernel(kernels.AntiplaneParams(lam=lam))
+    config = {"command": "antiplane", "lambda": lam, "load": load_name,
+              "amplitude": amp}
+    return _solve_and_emit(args, cfg, config, kern, F, {"beta": kern.beta})
 
 
 def cmd_plane_strain(args) -> int:
@@ -226,42 +221,14 @@ def cmd_plane_strain(args) -> int:
     nu1 = _get_float(cfg, "nu1", 0.3)
     nu2 = _get_float(cfg, "nu2", 0.3)
     F, load_name, amp = _load_fn(cfg)
-    n_list = _get_int_list(cfg, "N", "17")
-    t1 = _get_int(cfg, "t1", 200)
-    t2 = _get_int(cfg, "t2", 210)
     params = kernels.plane_strain_coeffs(lam, 1.0, nu1, nu2)
     kernels.gamma0_root(params)
     config = {"command": "plane-strain", "lambda": lam, "nu1": nu1,
-              "nu2": nu2, "load": load_name, "amplitude": amp,
-              "N": ",".join(map(str, n_list)), "t1": t1, "t2": t2,
-              "format": args.format}
-    extra = {"gamma0": params.gamma0, "beta_eff": params.beta_eff}
-
-    if abs(params.beta_eff) < 1e-9:
-        def kc(x, xi):
-            s, sm = xi + x, xi + x - 2.0
-            q = (params.b1 * xi**2 + params.b2 * xi * x
-                 + params.b3 * x**2) / s**3
-            qm = (params.b1 * (xi - 1.0)**2
-                  + params.b2 * (xi - 1.0) * (x - 1.0)
-                  + params.b3 * (x - 1.0)**2) / sm**3
-            return q + qm
-        sol = cauchy.cauchy_solve(kc, F, N=max(n_list), t1=t1, t2=t2)
-        extra["solver"] = "cauchy"
-        _emit_solution(args, cfg, config, sol, extra)
-        return 0
-    kern = kernels.plane_strain_kernel(params)
-    if len(n_list) > 1:
-        rows = []
-        for n_cut in n_list:
-            sol = complete.solve(kern, F, SolveConfig(N=n_cut, t1=t1, t2=t2),
-                                 diagnostics=False)
-            rows.append([n_cut, sol.evaluate(0.5), sol.constant_C])
-        _emit(args, config, ["N", "phi_at_0.5", "C"], rows, extra)
-        return 0
-    sol = complete.solve(kern, F, SolveConfig(N=n_list[0], t1=t1, t2=t2))
-    _emit_solution(args, cfg, config, sol, extra)
-    return 0
+              "nu2": nu2, "load": load_name, "amplitude": amp}
+    return _solve_and_emit(args, cfg, config,
+                           kernels.plane_strain_kernel(params), F,
+                           {"gamma0": params.gamma0,
+                            "beta_eff": params.beta_eff})
 
 
 def cmd_gamma0(args) -> int:
@@ -297,12 +264,7 @@ def cmd_verify(args) -> int:
         "checks": [r.as_dict() for r in results],
         "passed": all(r.passed for r in results),
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -369,8 +331,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # NoBracketError, both SingularSystemErrors, and a series that does
-        # not converge
+        # NoBracketError, complete.SingularSystemError (either route), and a
+        # series that does not converge
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

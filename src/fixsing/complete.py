@@ -42,8 +42,11 @@ from ._quad import graded_rule
 from .oracle import PVRule, apply_S
 from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
 
-#: condition-number ceiling before the truncated system counts as singular
+#: condition-number ceiling before a truncated system counts as singular
 COND_LIMIT = 1e12
+
+#: |beta| below which solve hands the equation to the Cauchy solver
+CAUCHY_BETA = 1e-9
 
 
 class SingularSystemError(RuntimeError):
@@ -84,7 +87,6 @@ class SolveConfig:
     N: int = 17
     t1: int = 200
     t2: int = 210
-    series_tol: float = 1e-12
     pv_nodes: int = 512
 
     def __post_init__(self):
@@ -135,11 +137,6 @@ class Solution:
             vals = vals + sum(c * g(x_arr)
                               for c, g in zip(self.corner_coeffs, fns))
         return vals if np.ndim(x) else float(vals[0])
-
-
-def evaluate(solution: Solution, x):
-    """Value of the truncated series; exactly zero at the endpoints."""
-    return solution.evaluate(x)
 
 
 def _midpoints(t: int) -> np.ndarray:
@@ -205,20 +202,56 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     return cosmat @ kmat @ pmat.T / scale
 
 
-def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
-          diagnostics: bool = True) -> Solution:
-    """Solve the complete equation for 0 < |beta| < 1.
+def dense_solve(a: np.ndarray, rhs: np.ndarray):
+    """x, cond(a) and max |a x - rhs| for the truncated system of either
+    route; a non-finite rhs raises ValueError, cond(a) > COND_LIMIT
+    SingularSystemError."""
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("load moments are not finite")
+    if not len(rhs):
+        return np.zeros(0), 1.0, 0.0
+    cond = float(np.linalg.cond(a))
+    if cond > COND_LIMIT:
+        raise SingularSystemError(
+            f"truncated system is numerically singular (cond {cond:.2e})"
+        )
+    x = np.linalg.solve(a, rhs)
+    return x, cond, float(np.max(np.abs(a @ x - rhs)))
 
-    Assembles the truncated rows n = 1..N, solves the dense system with
-    partial-pivot LU, then recovers C from the n = 0 row.  A kernel with
-    homogeneous corners adds the two corner trial functions and the rows
-    n = N, N+1 (see the module docstring).  The residual report carries
-    the linear-system residual, the solvability-identity residual (exactly
-    the n = 0 row restated through the weight moments), the
-    regularization-constant cross-check of C, and, when diagnostics is
-    set, the full equation residual at five interior points.
+
+def _cauchy_remainder(kernel: KernelSpec):
+    """pi (K - cot_gap(xi - x) - beta fixed_gap(xi + x)), the kernel of the
+    Cauchy form up to the fixed rational terms of order beta."""
+    from .kernels import cot_gap, fixed_gap
+
+    def remainder(x, xi):
+        return np.pi * (kernel.regular_part(x, xi) - cot_gap(xi - x)
+                        - kernel.beta * fixed_gap(xi + x))
+
+    return remainder
+
+
+def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
+          diagnostics: bool = True):
+    """Solve the complete equation for |beta| < 1.
+
+    Below CAUCHY_BETA the equation is the classical Cauchy one and goes,
+    with the same N, t1 and t2, to fixsing.cauchy.cauchy_solve, which
+    returns a CauchySolution without diagnostics.  Otherwise the truncated
+    rows n = 1..N are assembled and solved densely, then C is recovered
+    from the n = 0 row.  A kernel with homogeneous corners adds the two
+    corner trial functions and the rows n = N, N+1 (see the module
+    docstring).  The residual report carries the linear-system residual,
+    the solvability-identity residual (exactly the n = 0 row restated
+    through the weight moments), the regularization-constant cross-check
+    of C, and, when diagnostics is set, the full equation residual at five
+    interior points.
     """
     config = config or SolveConfig()
+    if abs(kernel.beta) < CAUCHY_BETA:
+        from .cauchy import cauchy_solve
+        return cauchy_solve(_cauchy_remainder(kernel), F, N=config.N,
+                            t1=config.t1, t2=config.t2)
     rows = config.N - 1
     basis = build_basis(kernel.beta, max(rows, 1))
     extra = (corner_functions(2.0 * basis.rho1)
@@ -238,26 +271,19 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
 
     a = k[1:, :n_unknowns].copy()
     a[np.arange(rows), np.arange(rows)] -= 0.5
-    cond = np.linalg.cond(a) if n_unknowns else 1.0
-    if cond > COND_LIMIT:
-        raise SingularSystemError(
-            f"truncated system is numerically singular (cond {cond:.2e})"
-        )
+    coeffs, cond, linear = dense_solve(a, -f[1:])
     if config.N > 25:
         warnings.warn(
             f"truncation order {config.N} is beyond the stable range; "
             f"condition number {cond:.2e}",
             stacklevel=2,
         )
-    coeffs = np.linalg.solve(a, -f[1:]) if n_unknowns else np.zeros(0)
 
     n_coeffs = np.array([N_coeff(basis, j + 1) for j in range(rows)]
                         + [0.0] * len(extra))
     c = float(f[0] + (n_coeffs + k[0, :n_unknowns]) @ coeffs)
 
-    report = {"condition_number": float(cond),
-              "linear_residual": float(np.max(np.abs(a @ coeffs + f[1:])))
-              if n_unknowns else 0.0}
+    report = {"condition_number": cond, "linear_residual": linear}
     m_coeffs = np.array([M_coeff(basis, n) for n in range(n_unknowns + 1)])
     lhs = m_coeffs[0] * (c - f[0] - k[0, :n_unknowns] @ coeffs)
     rhs = 2.0 * m_coeffs[1:] @ (f[1:] + k[1:, :n_unknowns] @ coeffs)

@@ -114,7 +114,9 @@ def antiplane_D(x, beta: float, tol: float = 1e-12):
         total += term
         if power * b2 / ((xmin + 2.0 * (j + 1)) * (1.0 - b2)) < tol:
             break
-        if j > 10_000:  # unreachable for |beta| < 1, guards against misuse
+        if j > 10_000:
+            # reached as beta^2 -> 1, for lambda outside about
+            # [5.9e-4, 1.68e3]; the CLI reports it as exit 3
             raise RuntimeError("series failed to converge")
     return total if x.ndim else float(total)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import graded_rule, log_cot_half
+from ._quad import graded_rule, log_cot_half, safe_ratio
 
 
 class Scheme(enum.Enum):
@@ -66,22 +66,12 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
     phixi = np.asarray(phi(xi), dtype=float)
 
     dmov = np.tan(np.pi * (xi[None, :] - xs[:, None]) / 2.0)
-    kern = _half_cot(dmov)
+    # the pole entries are zeroed; diff vanishes there
+    kern = safe_ratio(0.5, dmov)
     kern += beta * 0.5 / np.tan(np.pi * (xi[None, :] + xs[:, None]) / 2.0)
     diff = phixi[None, :] - phix[:, None]
     vals = (kern * diff) @ w + phix * (1.0 + beta) / np.pi * log_cot_half(xs)
     return vals if np.ndim(x) else float(vals[0])
-
-
-def _half_cot(tan_half):
-    """(1/2) cot with the pole position masked; the caller's integrand
-    vanishes there, so the masked entries contribute nothing."""
-    tiny = np.abs(tan_half) < 1e-13
-    t = np.where(tiny, 1.0, tan_half)
-    out = 0.5 / t
-    if tiny.any():
-        out[np.nonzero(tiny)] = 0.0
-    return out
 
 
 def apply_K(kernel, phi, x, nodes: int = 512):

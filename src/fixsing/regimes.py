@@ -247,13 +247,7 @@ def _inverse_inside_unit(e: float, f, xs, nodes: int):
         a = (sign * e - 1.0) / 2.0
         h, w = gauss_jacobi(n, a, -1.0 - a)
         num = np.asarray(f(np.arccos(h) / np.pi), dtype=float)[None, :] - fz[:, None]
-        den = h[None, :] - zeta[:, None]
-        tiny = np.abs(den) < 1e-13
-        den = np.where(tiny, 1.0, den)
-        ratio = num / den
-        if tiny.any():
-            ratio[np.nonzero(tiny)] = 0.0
-        parts.append(ratio @ w)
+        parts.append(safe_ratio(num, h[None, :] - zeta[:, None]) @ w)
     t_pow = np.tan(np.pi * xs / 2.0) ** e
     return np.sin(np.pi * xs) / (2.0 * np.pi) * (parts[0] / t_pow
                                                  + parts[1] * t_pow)
@@ -304,21 +298,12 @@ def _inverse_at_unit_beta(regime: Regime, f, xs, nodes):
     fxi = np.asarray(f(xi), dtype=float)
     moving = np.tan(np.pi * (xi[None, :] - xs[:, None]) / 2.0)
     diff = fxi[None, :] - fx[:, None]
-    pv = (_safe_cot(moving, diff)) @ w + fx * (2.0 / np.pi) * log_cot_half(xs)
+    pv = safe_ratio(diff, moving) @ w + fx * (2.0 / np.pi) * log_cot_half(xs)
     fixed = np.cos(np.pi * (xi[None, :] + xs[:, None]) / 2.0) / np.sin(
         np.pi * (xi[None, :] + xs[:, None]) / 2.0
     )
     sign = -1.0 if regime.kind is RegimeKind.PLUS_ONE else 1.0
     return -0.5 * (pv + sign * (fixed * fxi[None, :]) @ w)
-
-
-def _safe_cot(tan_half, diff):
-    """diff * cot with the removable diagonal point zeroed out."""
-    tiny = np.abs(tan_half) < 1e-13
-    t = np.where(tiny, 1.0, tan_half)
-    out = diff / t
-    out[np.nonzero(tiny)] = 0.0
-    return out
 
 
 def endpoint_asymptotics(regime: Regime) -> EndpointAsymptotics:

@@ -133,3 +133,17 @@ def test_matches_near_zero_spectral_runs():
                     SolveConfig(N=16, t1=200, t2=210), diagnostics=False)
         np.testing.assert_allclose(sol.evaluate(xs), exact.evaluate(xs),
                                    atol=2e-3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_load_is_rejected():
+    with pytest.raises(ValueError, match="not finite"):
+        cauchy_solve(ZERO_K, lambda x: np.inf * x, N=8)
+
+
+def test_singular_system_uses_the_shared_ceiling(monkeypatch):
+    import fixsing.complete as complete
+
+    monkeypatch.setattr(complete, "COND_LIMIT", 1e-3)
+    with pytest.raises(complete.SingularSystemError):
+        cauchy_solve(ZERO_K, lambda x: x, N=8)

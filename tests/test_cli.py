@@ -232,3 +232,45 @@ def test_verify_suite_filter(tmp_path):
 
 def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 2
+
+
+def test_antiplane_without_contrast_sweeps(tmp_path):
+    code, text = run_csv(tmp_path, ["antiplane", "--lambda", "1", "--N", "5,9"])
+    assert code == 0
+    meta, header, rows = parse_csv(text)
+    assert meta["solver"] == "cauchy"
+    assert header == ["N", "phi_at_0.5", "C"]
+    assert rows.shape == (2, 3)
+    np.testing.assert_allclose(rows[:, 0], [5, 9])
+    np.testing.assert_allclose(rows[:, 1:], 0.5, atol=1e-8)
+
+
+def test_infinite_integer_is_a_configuration_error(tmp_path, capsys):
+    assert main(["antiplane", "--lambda", "0.5", "--N", "inf"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.5\nt1 = 1e400\n", encoding="utf-8")
+    assert main(["antiplane", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].replace("[", "").replace("]", "")
+        if line.strip():
+            commands.append(line.split()[1:])  # drop the program name
+    return commands
+
+
+def test_readme_examples_run(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for i, args in enumerate(commands):
+        out = tmp_path / f"{i}.out"
+        assert main(args + ["--out", str(out)]) == 0, args
+        assert out.stat().st_size > 0

@@ -263,3 +263,38 @@ def test_plane_strain_moments_are_node_converged_at_small_stiffness():
     vals = [solve(kern, lambda x: x, SolveConfig(N=17, t1=t, t2=t + 10),
                   diagnostics=False).evaluate(0.5) for t in (200, 400)]
     assert abs(vals[1] - vals[0]) < 1e-3
+
+
+def test_zero_beta_routes_to_cauchy():
+    # at lambda = 1 the antiplane remainder after the Cauchy split is
+    # exactly zero, so the routed solve is the bare Cauchy one bit for bit
+    from fixsing.cauchy import CauchySolution, cauchy_solve
+
+    kern = antiplane_kernel(AntiplaneParams(lam=1.0))
+    assert kern.beta == 0.0
+    sol = solve(kern, lambda x: x, SolveConfig(N=8, t1=60, t2=64))
+    ref = cauchy_solve(lambda x, xi: np.zeros_like(x * xi), lambda x: x,
+                       N=8, t1=60, t2=64)
+    assert isinstance(sol, CauchySolution)
+    np.testing.assert_array_equal(sol.b, ref.b)
+    assert sol.constant_C == ref.constant_C
+
+
+def test_routing_threshold():
+    # just above CAUCHY_BETA the spectral route is taken
+    for beta, spectral in ((0.5 * complete.CAUCHY_BETA, False),
+                           (2.0 * complete.CAUCHY_BETA, True)):
+        sol = solve(KernelSpec(beta=beta, regular_part=ZERO_KERNEL.regular_part),
+                    lambda x: x, SolveConfig(N=6, t1=60, t2=64),
+                    diagnostics=False)
+        assert isinstance(sol, complete.Solution) is spectral
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("lam, load", [
+    (0.5, lambda x: np.nan * x), (1.0, lambda x: np.inf * x)],
+    ids=["spectral-nan", "cauchy-inf"])
+def test_nonfinite_load_is_rejected(lam, load):
+    with pytest.raises(ValueError, match="not finite"):
+        solve(antiplane_kernel(AntiplaneParams(lam=lam)), load,
+              SolveConfig(N=8, t1=60, t2=64), diagnostics=False)
