@@ -185,6 +185,26 @@ def _log_tan_rule_cached(nodes: int, smax: float):
     return s, xi, w
 
 
+#: elements per row block of kernel_grid: a block's temporaries stay near
+#: 0.5 MB each instead of growing with the whole grid
+_GRID_BLOCK = 1 << 16
+
+
+def kernel_grid(k, x, xi) -> np.ndarray:
+    """k(x[:, None], xi[None, :]) as a float (len(x), len(xi)) array.
+
+    The grid is filled in row blocks of about _GRID_BLOCK elements, so k
+    must act elementwise; a kernel that adapts its work to the block it is
+    given (a series truncated by the block's smallest argument) has to meet
+    its tolerance on every block.
+    """
+    out = np.empty((len(x), len(xi)))
+    rows = max(1, _GRID_BLOCK // len(xi))
+    for i in range(0, len(x), rows):
+        out[i:i + rows] = k(x[i:i + rows, None], xi[None, :])
+    return out
+
+
 def safe_ratio(num, den, tol: float = 1e-13):
     """num/den with the entries where |den| < tol set to zero.
 

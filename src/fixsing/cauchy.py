@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complete
-from ._quad import safe_ratio
+from ._quad import kernel_grid, safe_ratio
 from .specfun import chebyshev_T, chebyshev_U
 
 
@@ -122,7 +122,7 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
     cos1 = np.cos(np.pi * np.outer(np.arange(N + 1), s1))
     f = cos1 @ fvals / t1
 
-    kmat = np.asarray(K(x[:, None], xi[None, :]), dtype=float)
+    kmat = kernel_grid(K, x, xi)
     sin2 = np.sin(np.pi * s2)
     umat = np.vstack([chebyshev_U(j, np.cos(np.pi * s2)) * sin2**2
                       for j in range(N)])
@@ -130,7 +130,7 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
 
     a = k[1:, :].copy()
     a[np.arange(N), np.arange(N)] -= 0.25
-    b, cond, linear = complete.dense_solve(a, -f[1:])
+    b, cond, linear = complete.dense_solve(a, f)
     c = float(f[0] + k[0] @ b)
 
     report = {

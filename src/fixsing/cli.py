@@ -83,9 +83,12 @@ def _get_int(cfg, key, default):
 def _get_int_list(cfg, key, default):
     raw = str(cfg.get(key, default))
     try:
-        return [int(float(tok)) for tok in raw.split(",") if tok.strip()]
+        values = [int(float(tok)) for tok in raw.split(",") if tok.strip()]
     except (ValueError, OverflowError):
         raise ConfigError(f"parameter {key!r} must be integers") from None
+    if not values:
+        raise ConfigError(f"parameter {key!r} needs at least one integer")
+    return values
 
 
 def _load_fn(cfg):

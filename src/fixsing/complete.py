@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import graded_rule
+from ._quad import graded_rule, kernel_grid
 from .oracle import PVRule, apply_S
 from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
 
@@ -60,9 +60,11 @@ class KernelSpec:
     regular_part(x, xi) must accept broadcastable arrays and return finite
     values on the open square and the diagonal; corner growth (toward
     xi = x = 0 and xi = x = 1) is allowed since quadrature nodes are
-    interior midpoints.  homogeneous_corners marks a regular part that is
-    homogeneous of degree -1 at both corners; solve then adds the corner
-    trial functions.
+    interior midpoints.  It must be a pure function of (x, xi): solve
+    caches the grid of one spec, keyed by the spec itself, and reuses it
+    for every truncation order (see _kernel_grid).  homogeneous_corners
+    marks a regular part that is homogeneous of degree -1 at both corners;
+    solve then adds the corner trial functions.
     """
 
     beta: float
@@ -169,6 +171,24 @@ def _corner_images(beta: float, power: float, t1: int, nodes: int):
     return images
 
 
+def _xi_rule(kernel: KernelSpec, t2: int):
+    """xi-nodes of the kernel moments and their weights (None for the
+    midpoint rule)."""
+    if kernel.homogeneous_corners:
+        return graded_rule(t2)
+    return _midpoints(t2), None
+
+
+@lru_cache(maxsize=1)
+def _kernel_grid(kernel: KernelSpec, t1: int, t2: int):
+    """K at the t1 x-midpoints against the xi-nodes of _xi_rule (read-only,
+    shared by every truncation order of one kernel)."""
+    grid = kernel_grid(kernel.regular_part, _midpoints(t1),
+                       _xi_rule(kernel, t2)[0])
+    grid.setflags(write=False)
+    return grid
+
+
 def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
                   config: SolveConfig, n_max: int, extra=()) -> np.ndarray:
     """Moments k_{nj} = int int K(x, xi) phi_j(xi) cos(n pi x) dxi dx.
@@ -186,13 +206,9 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     if basis.max_degree < n_max:
         raise ValueError("basis table too small for requested moments")
     x = _midpoints(config.t1)
-    if kernel.homogeneous_corners:
-        xi, w = graded_rule(config.t2)
-        scale = config.t1
-    else:
-        xi, w = _midpoints(config.t2), None
-        scale = config.t1 * config.t2
-    kmat = np.asarray(kernel.regular_part(x[:, None], xi[None, :]), dtype=float)
+    xi, w = _xi_rule(kernel, config.t2)
+    scale = config.t1 if w is not None else config.t1 * config.t2
+    kmat = _kernel_grid(kernel, config.t1, config.t2)
     pmat = basis.phi_matrix(xi)[: n_max + 1]
     if extra:
         pmat = np.vstack([pmat] + [g(xi) for g in extra])
@@ -202,12 +218,14 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     return cosmat @ kmat @ pmat.T / scale
 
 
-def dense_solve(a: np.ndarray, rhs: np.ndarray):
-    """x, cond(a) and max |a x - rhs| for the truncated system of either
-    route; a non-finite rhs raises ValueError, cond(a) > COND_LIMIT
-    SingularSystemError."""
-    if not np.all(np.isfinite(rhs)):
+def dense_solve(a: np.ndarray, f: np.ndarray):
+    """x, cond(a) and max |a x - rhs| for the truncated system
+    a x = rhs = -f[1:] of either route, f being the load moments from
+    n = 0.  A non-finite moment raises ValueError, f[0] included (no row
+    uses it, but C does); cond(a) > COND_LIMIT SingularSystemError."""
+    if not np.all(np.isfinite(f)):
         raise ValueError("load moments are not finite")
+    rhs = -f[1:]
     if not len(rhs):
         return np.zeros(0), 1.0, 0.0
     cond = float(np.linalg.cond(a))
@@ -271,7 +289,7 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
 
     a = k[1:, :n_unknowns].copy()
     a[np.arange(rows), np.arange(rows)] -= 0.5
-    coeffs, cond, linear = dense_solve(a, -f[1:])
+    coeffs, cond, linear = dense_solve(a, f)
     if config.N > 25:
         warnings.warn(
             f"truncation order {config.N} is beyond the stable range; "

@@ -39,17 +39,24 @@ def cot_gap(u):
     Near u = 0 both terms blow up like 1/u and cancel to O(u); inside the
     switch radius the difference is taken from its series
     pi u / 12 + pi^3 u^3 / 720 + pi^5 u^5 / 30240 + O(u^7) to keep full
-    precision.
+    precision.  The direct form is evaluated everywhere (at a dummy
+    argument inside the radius) and the series only on the entries that
+    need it.
     """
-    u = np.asarray(u, dtype=float)
+    u_in = np.asarray(u, dtype=float)
+    u = np.atleast_1d(u_in)
     small = np.abs(u) < _TAYLOR_RADIUS
-    safe = np.where(small, 1.0, u)
-    direct = 1.0 / (np.pi * safe) - 0.5 / np.tan(np.pi * safe / 2.0)
-    u2 = u * u
-    series = u * (np.pi / 12.0
-                  + u2 * (np.pi**3 / 720.0 + u2 * np.pi**5 / 30240.0))
-    out = np.where(small, series, direct)
-    return out if u.ndim else float(out)
+    any_small = small.any()
+    arg = np.pi * (np.where(small, 1.0, u) if any_small else u)
+    out = 1.0 / arg
+    arg /= 2.0
+    out -= np.divide(0.5, np.tan(arg, out=arg), out=arg)
+    if any_small:
+        us = u[small]
+        u2 = us * us
+        out[small] = us * (np.pi / 12.0
+                           + u2 * (np.pi**3 / 720.0 + u2 * np.pi**5 / 30240.0))
+    return out if u_in.ndim else float(out[0])
 
 
 def fixed_gap(v):
@@ -57,15 +64,13 @@ def fixed_gap(v):
 
     The cot has poles at v = 0 and v = 2; each is cancelled by one of the
     rational terms (cot(pi v/2) is 2-periodic), so the difference is
-    evaluated through cot_gap against whichever pole is nearer.
+    cot_gap at whichever pole is nearer plus the other rational term.
     """
     v = np.asarray(v, dtype=float)
     lower = v < 1.0
-    out = np.where(
-        lower,
-        cot_gap(v) + 1.0 / (np.pi * (np.where(lower, v, 0.0) - 2.0)),
-        cot_gap(v - 2.0) + 1.0 / (np.pi * np.where(lower, 2.0, v)),
-    )
+    shifted = v - 2.0
+    out = cot_gap(np.where(lower, v, shifted))
+    out += 1.0 / (np.pi * np.where(lower, shifted, v))
     return out if v.ndim else float(out)
 
 
@@ -89,7 +94,10 @@ def antiplane_D(x, beta: float, tol: float = 1e-12):
     """Tail series D(x) = sum_{j>=1} beta^(2j) / (x + 2j) for x > -2.
 
     Truncated once the geometric majorant
-    beta^(2(J+1)) / ((x + 2J + 2)(1 - beta^2)) drops below tol.
+    beta^(2(J+1)) / ((x + 2J + 2)(1 - beta^2)) drops below tol at the
+    smallest x given, so the term count depends on min(x) of the array:
+    a grid evaluated in row blocks (_quad.kernel_grid) may sum a different
+    number of terms per block, and every block still meets tol.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= -2.0):

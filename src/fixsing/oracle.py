@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import graded_rule, log_cot_half, safe_ratio
+from ._quad import graded_rule, kernel_grid, log_cot_half, safe_ratio
 
 
 class Scheme(enum.Enum):
@@ -83,8 +83,7 @@ def apply_K(kernel, phi, x, nodes: int = 512):
     k = getattr(kernel, "regular_part", kernel)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     xi, w = graded_rule(nodes)
-    kmat = np.asarray(k(xs[:, None], xi[None, :]), dtype=float)
-    vals = kmat @ (w * np.asarray(phi(xi), dtype=float))
+    vals = kernel_grid(k, xs, xi) @ (w * np.asarray(phi(xi), dtype=float))
     return vals if np.ndim(x) else float(vals[0])
 
 

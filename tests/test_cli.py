@@ -274,3 +274,14 @@ def test_readme_examples_run(tmp_path):
         out = tmp_path / f"{i}.out"
         assert main(args + ["--out", str(out)]) == 0, args
         assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("args", [
+    ["antiplane", "--lambda", "0.5", "--N", ","],
+    ["characteristic", "--beta", "0.5", "--m0", ","],
+], ids=["N", "m0"])
+def test_integer_list_without_integers_is_a_configuration_error(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one integer" in captured.err

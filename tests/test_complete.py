@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import fixsing.complete as complete
+from fixsing._quad import _GRID_BLOCK
 from fixsing.complete import (KernelSpec, SingularSystemError, SolveConfig,
                               fourier_load_coeffs, kernel_matrix, solve)
 from fixsing.kernels import AntiplaneParams, antiplane_kernel
@@ -298,3 +299,55 @@ def test_nonfinite_load_is_rejected(lam, load):
     with pytest.raises(ValueError, match="not finite"):
         solve(antiplane_kernel(AntiplaneParams(lam=lam)), load,
               SolveConfig(N=8, t1=60, t2=64), diagnostics=False)
+
+
+def test_empty_truncation_rejects_nonfinite_load():
+    # N = 1 leaves no row, so only the n = 0 moment, which sets C, sees
+    # the load
+    with pytest.raises(ValueError, match="not finite"):
+        solve(antiplane_kernel(AntiplaneParams(lam=0.5)), lambda x: np.nan * x,
+              SolveConfig(N=1, t1=60, t2=64), diagnostics=False)
+
+
+def test_truncation_ladder_evaluates_the_solve_grid_once():
+    base = antiplane_kernel(AntiplaneParams(lam=0.5))
+    t1, t2 = 200, 210
+    rows = []
+
+    def counted(x, xi):
+        if np.shape(xi)[-1] == t2:
+            rows.append(np.shape(x)[0])
+        return base.regular_part(x, xi)
+
+    kern = KernelSpec(beta=base.beta, regular_part=counted)
+    for n in (5, 9, 13, 17, 21):
+        solve(kern, lambda x: x, SolveConfig(N=n, t1=t1, t2=t2),
+              diagnostics=False)
+    sol = solve(kern, lambda x: x, SolveConfig(N=21, t1=t1, t2=t2))
+    assert "equation_residual_max" in sol.residual_report
+    assert sum(rows) == t1
+    # a new node budget is a new grid
+    solve(kern, lambda x: x, SolveConfig(N=5, t1=t1 + 20, t2=t2),
+          diagnostics=False)
+    assert sum(rows) == 2 * t1 + 20
+
+
+@pytest.mark.parametrize("kern", [
+    antiplane_kernel(AntiplaneParams(lam=3.0)), _plane_strain(2.0)],
+    ids=["antiplane", "plane-strain"])
+def test_kernel_matrix_equals_the_unblocked_formula(kern):
+    # 300 x-nodes make the grid span more than one row block
+    cfg = SolveConfig(N=8, t1=300, t2=310)
+    basis = build_basis(kern.beta, 7)
+    x = complete._midpoints(cfg.t1)
+    if kern.homogeneous_corners:
+        xi, w = complete.graded_rule(cfg.t2)
+        pmat, scale = basis.phi_matrix(xi)[:8] * w, cfg.t1
+    else:
+        xi = complete._midpoints(cfg.t2)
+        pmat, scale = basis.phi_matrix(xi)[:8], cfg.t1 * cfg.t2
+    kmat = np.asarray(kern.regular_part(*np.ix_(x, xi)), dtype=float)
+    assert kmat.size > _GRID_BLOCK
+    cosmat = np.cos(np.pi * np.outer(np.arange(8), x))
+    want = cosmat @ kmat @ pmat.T / scale
+    np.testing.assert_array_equal(kernel_matrix(kern, basis, cfg, 7), want)

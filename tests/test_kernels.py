@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fixsing.kernels import (AntiplaneParams, NoBracketError,
+from fixsing.kernels import (_TAYLOR_RADIUS, AntiplaneParams, NoBracketError,
                              PlaneStrainParams, antiplane_D, antiplane_kernel,
                              cot_gap, fixed_gap, gamma0_root, lambda_fn,
                              plane_strain_coeffs, plane_strain_kernel)
@@ -299,3 +299,50 @@ def test_opening_grows_as_strip_stiffens():
                         diagnostics=False)
         vals.append(sol.evaluate(0.5))
     assert vals[0] > vals[1] > vals[2]
+
+
+def _cot_gap_two_branch(u):
+    """cot_gap as both np.where branches over the whole array."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < _TAYLOR_RADIUS
+    safe = np.where(small, 1.0, u)
+    direct = 1.0 / (np.pi * safe) - 0.5 / np.tan(np.pi * safe / 2.0)
+    u2 = u * u
+    series = u * (np.pi / 12.0
+                  + u2 * (np.pi**3 / 720.0 + u2 * np.pi**5 / 30240.0))
+    out = np.where(small, series, direct)
+    return out if u.ndim else float(out)
+
+
+def _fixed_gap_two_branch(v):
+    """fixed_gap with one cot_gap per pole over the whole array."""
+    v = np.asarray(v, dtype=float)
+    lower = v < 1.0
+    out = np.where(
+        lower,
+        _cot_gap_two_branch(v) + 1.0 / (np.pi * (np.where(lower, v, 0.0) - 2.0)),
+        _cot_gap_two_branch(v - 2.0) + 1.0 / (np.pi * np.where(lower, 2.0, v)),
+    )
+    return out if v.ndim else float(out)
+
+
+def test_gap_blocks_equal_the_two_branch_formulas():
+    r = _TAYLOR_RADIUS
+    u = np.concatenate([np.linspace(-1.5, 1.5, 3001),
+                        np.linspace(-2.0 * r, 2.0 * r, 4001),
+                        [0.0, r, -r, np.nextafter(r, 0.0),
+                         np.nextafter(-r, 0.0)]])
+    np.testing.assert_array_equal(cot_gap(u), _cot_gap_two_branch(u))
+    grid = u[:3000].reshape(60, 50)
+    np.testing.assert_array_equal(cot_gap(grid), _cot_gap_two_branch(grid))
+    v = np.concatenate([np.linspace(1e-3, 2.0 - 1e-3, 3001),
+                        np.linspace(0.99, 1.01, 2001),
+                        [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+    np.testing.assert_array_equal(fixed_gap(v), _fixed_gap_two_branch(v))
+    for s in (0.0, 0.5 * r, r, -0.3, 1.5):
+        got = cot_gap(s)
+        assert type(got) is float and got == _cot_gap_two_branch(s)
+    for s in (0.5 * r, 0.5, 1.0, 1.5, 2.0 - 0.5 * r):
+        got = fixed_gap(s)
+        assert type(got) is float and got == _fixed_gap_two_branch(s)
+    assert cot_gap(0.0) == 0.0

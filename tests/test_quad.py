@@ -103,3 +103,24 @@ def test_agrees_with_scipy(n, alpha, beta):
     assert np.max(np.abs(z - zs)) <= 1e-14
     for g in FUNCS.values():
         assert np.dot(w, g(z)) == pytest.approx(np.dot(ws, g(zs)), rel=1e-9)
+
+
+def test_kernel_grid_matches_unblocked_evaluation():
+    from fixsing import _quad
+    from fixsing.kernels import AntiplaneParams, antiplane_kernel
+
+    k = antiplane_kernel(AntiplaneParams(lam=3.0)).regular_part
+    x = (np.arange(301) + 0.5) / 301.0
+    xi = (np.arange(700) + 0.25) / 700.0
+    rows = _quad._GRID_BLOCK // len(xi)
+    assert len(x) % rows != 0
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return k(a, b)
+
+    got = _quad.kernel_grid(counted, x, xi)
+    assert got.shape == (301, 700)
+    assert calls[:-1] == [rows] * (len(calls) - 1) and sum(calls) == 301
+    np.testing.assert_array_equal(got, k(*np.ix_(x, xi)))
