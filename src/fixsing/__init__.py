@@ -14,8 +14,8 @@ of a composite plane as ready-made applications.
 from .regimes import (Regime, RegimeKind, Branch, EndpointAsymptotics,
                       classify, solvability_weight, solvability_functional,
                       inverse_characteristic, endpoint_asymptotics)
-from .spectral import (SpectralBasis, SeriesSolution, build_basis,
-                       basis_from_rho1, N_coeff, M_coeff, J_integral,
+from .spectral import (SpectralBasis, build_basis, basis_from_rho1,
+                       N_coeff, M_coeff, J_integral,
                        characteristic_series_solve, quadratic_load_constant,
                        tan_moment_sequence)
 from .complete import (KernelSpec, SolveConfig, Solution, SingularSystemError,
@@ -23,7 +23,7 @@ from .complete import (KernelSpec, SolveConfig, Solution, SingularSystemError,
 from .kernels import (AntiplaneParams, PlaneStrainParams, NoBracketError,
                       antiplane_D, antiplane_kernel, plane_strain_coeffs,
                       lambda_fn, gamma0_root, plane_strain_kernel)
-from .cauchy import (CauchySolution, cauchy_inverse, cauchy_solve,
+from .cauchy import (CauchyBasis, cauchy_inverse, cauchy_solve,
                      u_weighted_cauchy_transform)
 from .oracle import PVRule, Scheme, apply_S, apply_K, full_residual
 
@@ -33,15 +33,15 @@ __all__ = [
     "Regime", "RegimeKind", "Branch", "EndpointAsymptotics", "classify",
     "solvability_weight", "solvability_functional", "inverse_characteristic",
     "endpoint_asymptotics",
-    "SpectralBasis", "SeriesSolution", "build_basis", "basis_from_rho1",
-    "N_coeff", "M_coeff", "J_integral", "characteristic_series_solve",
+    "SpectralBasis", "build_basis", "basis_from_rho1", "N_coeff", "M_coeff",
+    "J_integral", "characteristic_series_solve",
     "quadratic_load_constant", "tan_moment_sequence",
     "KernelSpec", "SolveConfig", "Solution", "SingularSystemError",
     "fourier_load_coeffs", "kernel_matrix", "solve",
     "AntiplaneParams", "PlaneStrainParams", "NoBracketError", "antiplane_D",
     "antiplane_kernel", "plane_strain_coeffs", "lambda_fn", "gamma0_root",
     "plane_strain_kernel",
-    "CauchySolution", "cauchy_inverse", "cauchy_solve",
+    "CauchyBasis", "cauchy_inverse", "cauchy_solve",
     "u_weighted_cauchy_transform",
     "PVRule", "Scheme", "apply_S", "apply_K", "full_residual",
     "__version__",

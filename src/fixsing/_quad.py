@@ -60,12 +60,6 @@ def _graded_rule_cached(nodes: int, levels: int):
     return x, w
 
 
-def integrate_01(g, nodes: int = 512, levels: int = 12) -> float:
-    """Integrate a vectorized callable over [0, 1] with the graded rule."""
-    x, w = graded_rule(nodes, levels)
-    return float(np.dot(w, g(x)))
-
-
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """Nodes and weights for int_{-1}^{1} (1-z)^alpha (1+z)^beta f(z) dz.
 

@@ -14,7 +14,7 @@ CAUCHY_BETA here, since the spectral basis excludes beta = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +23,29 @@ from ._quad import kernel_grid, safe_ratio
 from .specfun import chebyshev_T, chebyshev_U
 
 
+def _u_rows(z: np.ndarray, count: int) -> np.ndarray:
+    """U_0(z) .. U_(count-1)(z) stacked, in one pass of the recurrence of
+    specfun.chebyshev_U (the same values bit for bit)."""
+    out = np.ones((count, len(z)))
+    if count > 1:
+        out[1] = 2.0 * z
+    for j in range(2, count):
+        out[j] = 2.0 * z * out[j - 1] - out[j - 2]
+    return out
+
+
 @dataclass(frozen=True)
-class CauchySolution:
-    """Coefficients of sqrt(x(1-x)) U_j(2x - 1) and the free constant."""
+class CauchyBasis:
+    """Trial functions sqrt(x(1-x)) U_j(2x - 1), j <= max_degree, of the
+    Cauchy route; like the spectral phi_j they vanish at both ends."""
 
-    b: np.ndarray
-    constant_C: float
-    residual_report: dict = field(default_factory=dict)
+    max_degree: int
 
-    def evaluate(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        w = np.sqrt(np.clip(x_arr * (1.0 - x_arr), 0.0, None))
-        acc = np.zeros_like(x_arr)
-        for j, bj in enumerate(self.b):
-            acc += bj * chebyshev_U(j, 2.0 * x_arr - 1.0)
-        vals = w * acc
-        return vals if np.ndim(x) else float(vals[0])
+    def phi_matrix(self, x) -> np.ndarray:
+        """Stacked values for all j <= max_degree; shape (J+1, len(x))."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        w = np.sqrt(np.clip(x * (1.0 - x), 0.0, None))
+        return w * _u_rows(2.0 * x - 1.0, self.max_degree + 1)
 
 
 def cauchy_inverse(F, x, nodes: int = 256):
@@ -101,7 +108,7 @@ def u_weighted_cauchy_transform(j: int, x, nodes: int = 256):
 
 
 def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
-                 ) -> CauchySolution:
+                 ) -> complete.Solution:
     """Truncated solve of the complete Cauchy-kernel equation.
 
     K is a plain (x, xi) evaluator, finite on the open square.  Cosine
@@ -113,8 +120,7 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
     """
     if N < 1:
         raise ValueError("truncation order must be positive")
-    s1 = (2.0 * np.arange(1, t1 + 1) - 1.0) / (2.0 * t1)
-    s2 = (2.0 * np.arange(1, t2 + 1) - 1.0) / (2.0 * t2)
+    s1, s2 = complete._midpoints(t1), complete._midpoints(t2)
     x = 0.5 * (1.0 + np.cos(np.pi * s1))
     xi = 0.5 * (1.0 + np.cos(np.pi * s2))
 
@@ -124,8 +130,7 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
 
     kmat = kernel_grid(K, x, xi)
     sin2 = np.sin(np.pi * s2)
-    umat = np.vstack([chebyshev_U(j, np.cos(np.pi * s2)) * sin2**2
-                      for j in range(N)])
+    umat = _u_rows(np.cos(np.pi * s2), N) * sin2**2
     k = cos1 @ kmat @ umat.T / (4.0 * t1 * t2)
 
     a = k[1:, :].copy()
@@ -140,4 +145,5 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
         # under the solved coefficients
         "solvability_identity": float(abs(f[0] + k[0] @ b - c)),
     }
-    return CauchySolution(b=b, constant_C=c, residual_report=report)
+    return complete.Solution(basis=CauchyBasis(N - 1), b=b, constant_C=c,
+                             residual_report=report)

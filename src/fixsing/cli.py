@@ -34,6 +34,19 @@ class ConfigError(Exception):
     pass
 
 
+#: argparse options of the parameter flags that do not take a plain float;
+#: each subcommand registers only the flags it reads (see _build_parser)
+_FLAGS = {
+    "--lambda": {"dest": "lam", "type": float,
+                 "help": "shear-modulus ratio G1/G2"},
+    "--load": {"choices": sorted(LOADS)},
+    "--N": {"help": "truncation order (int or comma list)"},
+    "--t1": {"type": int}, "--t2": {"type": int},
+    "--m0": {"help": "series truncation (int or comma list)"},
+    "--grid": {"type": int, "help": "output grid size"},
+}
+
+
 def _read_config_file(path):
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -202,7 +215,7 @@ def _solve_and_emit(args, cfg, config, kern, F, extra):
         rows, columns = _profile(cfg, config, sol), ["x", "phi"]
         diag = {"C": sol.constant_C, "phi_at_0.5": sol.evaluate(0.5),
                 **sol.residual_report}
-    if isinstance(sol, cauchy.CauchySolution):
+    if isinstance(sol.basis, cauchy.CauchyBasis):
         extra["solver"] = "cauchy"
     _emit(args, config, columns, rows, {**diag, **extra})
     return 0
@@ -225,7 +238,6 @@ def cmd_plane_strain(args) -> int:
     nu2 = _get_float(cfg, "nu2", 0.3)
     F, load_name, amp = _load_fn(cfg)
     params = kernels.plane_strain_coeffs(lam, 1.0, nu1, nu2)
-    kernels.gamma0_root(params)
     config = {"command": "plane-strain", "lambda": lam, "nu1": nu1,
               "nu2": nu2, "load": load_name, "amplitude": amp}
     return _solve_and_emit(args, cfg, config,
@@ -247,12 +259,9 @@ def cmd_gamma0(args) -> int:
     config = {"command": "gamma0", "nu1": nu1, "nu2": nu2,
               "lambda_grid": ",".join(f"{v:g}" for v in lams),
               "format": args.format}
-    rows = []
-    for lam in lams:
-        params = kernels.plane_strain_coeffs(lam, 1.0, nu1, nu2)
-        kernels.gamma0_root(params)
-        rows.append([lam, params.gamma0, params.beta_eff])
-    _emit(args, config, ["lambda", "gamma0", "beta_eff"], rows, {})
+    params = [kernels.plane_strain_coeffs(lam, 1.0, nu1, nu2) for lam in lams]
+    _emit(args, config, ["lambda", "gamma0", "beta_eff"],
+          [[p.G1, p.gamma0, p.beta_eff] for p in params], {})
     return 0
 
 
@@ -279,34 +288,28 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_material=True):
+    def common(p, *flags):
         p.add_argument("--config", help="flat key=value parameter file")
-        p.add_argument("--beta", type=float)
-        if with_material:
-            p.add_argument("--lambda", dest="lam", type=float,
-                           help="shear-modulus ratio G1/G2")
-            p.add_argument("--G1", type=float)
-            p.add_argument("--G2", type=float)
-            p.add_argument("--nu1", type=float)
-            p.add_argument("--nu2", type=float)
-        p.add_argument("--load", choices=sorted(LOADS))
-        p.add_argument("--amplitude", type=float)
-        p.add_argument("--N", help="truncation order (int or comma list)")
-        p.add_argument("--t1", type=int)
-        p.add_argument("--t2", type=int)
-        p.add_argument("--m0", help="series truncation (int or comma list)")
-        p.add_argument("--grid", type=int, help="output grid size")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS.get(flag, {"type": float}))
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    load = ("--load", "--amplitude")
+    material = ("--lambda", "--G1", "--G2")
+    solve = ("--N", "--t1", "--t2", "--grid")
     common(sub.add_parser("characteristic",
-                          help="series solution of the characteristic equation"))
-    common(sub.add_parser("antiplane", help="antiplane crack problem"))
+                          help="series solution of the characteristic equation"),
+           "--beta", *load, "--t1", "--m0", "--grid")
+    common(sub.add_parser("antiplane", help="antiplane crack problem"),
+           *material, *load, *solve)
     common(sub.add_parser("plane-strain",
-                          help="plane-strain crack problem (dominant equation)"))
+                          help="plane-strain crack problem (dominant equation)"),
+           *material, "--nu1", "--nu2", *load, *solve)
 
     g = sub.add_parser("gamma0", help="plane-strain endpoint exponent sweep")
-    common(g)
+    # --load and --amplitude are accepted and unused: gamma0 has no load
+    common(g, *material, "--nu1", "--nu2", *load)
     g.add_argument("--lambda-grid", help="comma list of modulus ratios")
 
     v = sub.add_parser("verify", help="run the invariant suites")

@@ -32,15 +32,18 @@ kernel moments use an endpoint-graded rule in xi (see kernel_matrix).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ._quad import graded_rule, kernel_grid
 from .oracle import PVRule, apply_S
 from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
+
+if TYPE_CHECKING:
+    from .cauchy import CauchyBasis
 
 #: condition-number ceiling before a truncated system counts as singular
 COND_LIMIT = 1e12
@@ -120,14 +123,16 @@ def corner_functions(power: float):
 class Solution:
     """Truncated solution phi(x) = sum_j b_j phi_j(x) with its constant.
 
+    The result of every solver: basis is a SpectralBasis, or a CauchyBasis
+    on the beta = 0 route; config is None unless solve made it.
     corner_coeffs holds the weights of the corner trial functions with
     power 2 rho1 (empty unless the kernel has homogeneous corners).
     """
 
-    basis: SpectralBasis
+    basis: SpectralBasis | CauchyBasis
     b: np.ndarray
     constant_C: float
-    config: SolveConfig
+    config: SolveConfig | None = None
     residual_report: dict = field(default_factory=dict)
     corner_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -250,26 +255,36 @@ def _cauchy_remainder(kernel: KernelSpec):
 
 
 def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
-          diagnostics: bool = True):
+          diagnostics: bool = True) -> Solution:
     """Solve the complete equation for |beta| < 1.
 
     Below CAUCHY_BETA the equation is the classical Cauchy one and goes,
-    with the same N, t1 and t2, to fixsing.cauchy.cauchy_solve, which
-    returns a CauchySolution without diagnostics.  Otherwise the truncated
-    rows n = 1..N are assembled and solved densely, then C is recovered
-    from the n = 0 row.  A kernel with homogeneous corners adds the two
-    corner trial functions and the rows n = N, N+1 (see the module
-    docstring).  The residual report carries the linear-system residual,
-    the solvability-identity residual (exactly the n = 0 row restated
-    through the weight moments), the regularization-constant cross-check
-    of C, and, when diagnostics is set, the full equation residual at five
-    interior points.
+    with the same N, t1 and t2, to fixsing.cauchy.cauchy_solve; its
+    Solution is over a CauchyBasis.  Otherwise the truncated rows
+    n = 1..N are assembled and solved densely, then C is recovered from
+    the n = 0 row.  A kernel with homogeneous corners adds the two corner
+    trial functions and the rows n = N, N+1 (see the module docstring).
+    The residual report of either route carries the linear-system residual
+    and the solvability-identity residual (exactly the n = 0 row restated,
+    on the spectral route through the weight moments).  When diagnostics
+    is set it adds the full equation residual at five interior points and,
+    on the spectral route, the regularization-constant cross-check of C.
     """
     config = config or SolveConfig()
     if abs(kernel.beta) < CAUCHY_BETA:
         from .cauchy import cauchy_solve
-        return cauchy_solve(_cauchy_remainder(kernel), F, N=config.N,
-                            t1=config.t1, t2=config.t2)
+        solution = replace(
+            cauchy_solve(_cauchy_remainder(kernel), F, N=config.N,
+                         t1=config.t1, t2=config.t2), config=config)
+    else:
+        solution = _galerkin_solve(kernel, F, config)
+    if diagnostics:
+        _attach_diagnostics(solution, kernel, F)
+    return solution
+
+
+def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
+    """The spectral route of solve, without diagnostics."""
     rows = config.N - 1
     basis = build_basis(kernel.beta, max(rows, 1))
     extra = (corner_functions(2.0 * basis.rho1)
@@ -294,7 +309,7 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
         warnings.warn(
             f"truncation order {config.N} is beyond the stable range; "
             f"condition number {cond:.2e}",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     n_coeffs = np.array([N_coeff(basis, j + 1) for j in range(rows)]
@@ -307,27 +322,28 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
     rhs = 2.0 * m_coeffs[1:] @ (f[1:] + k[1:, :n_unknowns] @ coeffs)
     report["solvability_identity"] = float(abs(lhs - rhs))
 
-    solution = Solution(basis=basis, b=coeffs[:rows], constant_C=c,
-                        config=config, residual_report=report,
-                        corner_coeffs=coeffs[rows:])
-    if diagnostics:
-        _attach_diagnostics(solution, kernel, F, report)
-    return solution
+    return Solution(basis=basis, b=coeffs[:rows], constant_C=c,
+                    config=config, residual_report=report,
+                    corner_coeffs=coeffs[rows:])
 
 
-def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F, report):
+def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
     from . import oracle
     from .regimes import classify, solvability_functional
 
+    report = solution.residual_report
+    nodes = solution.config.pv_nodes
     xs = np.linspace(0.1, 0.9, 5)
-    rule = oracle.PVRule(nodes=solution.config.pv_nodes)
-    res = oracle.full_residual(solution, kernel, F, xs, rule)
+    res = oracle.full_residual(solution, kernel, F, xs, oracle.PVRule(nodes))
     report["equation_residual_max"] = float(np.max(np.abs(res)))
+    if not isinstance(solution.basis, SpectralBasis):
+        # the beta = 0 weight functional does not reproduce C (it gives
+        # 0.25 against C = 0.5 for F = x), so the cross-check is spectral
+        return
 
     # cross-check of C through the regularization constant: C equals the
     # weight functional of F + K[phi]
     regime = classify(kernel.beta)
-    nodes = solution.config.pv_nodes
 
     def load_plus_k(x):
         return (np.asarray(F(x), dtype=float)

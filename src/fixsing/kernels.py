@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,13 +158,13 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
                       name=f"antiplane(lambda={params.lam:g})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneStrainParams:
     """Elastic constants of the plane-strain problem and derived kernel data.
 
     mu0, nu0, delta0 and the quadratic-numerator coefficients b1, b2, b3
-    are fixed at construction; gamma0 and beta_eff are populated by
-    gamma0_root.
+    are fixed at construction; gamma0 and beta_eff are derived from them
+    on first use (see gamma0_root).
     """
 
     G1: float
@@ -176,12 +177,20 @@ class PlaneStrainParams:
     b1: float = 0.0
     b2: float = 0.0
     b3: float = 0.0
-    gamma0: float | None = None
-    beta_eff: float | None = None
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.G1, self.G2, self.nu1, self.nu2))):
             raise ValueError("elastic constants must be finite")
+
+    @cached_property
+    def gamma0(self) -> float:
+        """Root of the exponent equation on (0, 1), computed once."""
+        return gamma0_root(self)
+
+    @property
+    def beta_eff(self) -> float:
+        """Effective parameter -cos(pi gamma0) of the associated operator."""
+        return float(-math.cos(math.pi * self.gamma0))
 
 
 def plane_strain_coeffs(G1: float, G2: float, nu1: float, nu2: float
@@ -235,12 +244,12 @@ def _lambda_prime(gamma: float, params: PlaneStrainParams) -> float:
 
 
 def gamma0_root(params: PlaneStrainParams, tol: float = 1e-13) -> float:
-    """Root gamma0 of the exponent equation on (0, 1); stores it in params.
+    """Root gamma0 of the exponent equation on (0, 1).
 
     A 1000-point scan brackets the sign change (multiple changes are
     flagged, the first is used), bisection narrows the bracket, and Newton
-    steps polish to tol.  Sets params.gamma0 and
-    params.beta_eff = -cos(pi gamma0).
+    steps polish to tol.  params is not modified; params.gamma0 is this
+    root at the default tol.
     """
     grid = np.linspace(0.0, 1.0, 1001)[1:-1]
     vals = lambda_fn(grid, params)
@@ -269,13 +278,10 @@ def gamma0_root(params: PlaneStrainParams, tol: float = 1e-13) -> float:
         g -= step
         if abs(step) < tol:
             break
-    params.gamma0 = float(g)
-    params.beta_eff = float(-math.cos(math.pi * g))
-    return params.gamma0
+    return float(g)
 
 
-def plane_strain_kernel(params: PlaneStrainParams,
-                        include_K0: bool = False) -> KernelSpec:
+def plane_strain_kernel(params: PlaneStrainParams) -> KernelSpec:
     """Regular kernel of the dominant plane-strain equation.
 
     The dominant kernel is 1/(xi - x) plus two cubic-denominator fixed
@@ -289,15 +295,8 @@ def plane_strain_kernel(params: PlaneStrainParams,
     functions.
 
     The full regular part K0 of the physical problem has no published
-    closed form; include_K0 = True is rejected to make the gap explicit.
+    closed form, so only the dominant equation is provided.
     """
-    if include_K0:
-        raise ValueError(
-            "the full regular kernel K0 is not available in closed form; "
-            "only the dominant equation is solvable"
-        )
-    if params.gamma0 is None or params.beta_eff is None:
-        raise ValueError("run gamma0_root first")
     beta = params.beta_eff
     # b1 xi^2 + b2 xi x + b3 x^2 - beta (xi + x)^2 as one quadratic form
     c1, c2, c3 = params.b1 - beta, params.b2 - 2.0 * beta, params.b3 - beta

@@ -35,7 +35,9 @@ class PVRule:
 
 def _rule_nodes(rule: PVRule):
     if rule.scheme is Scheme.SUBTRACT_SINGULARITY:
-        return graded_rule(rule.nodes, levels=12)
+        # graded to 2^-24: a 2^-12 end panel does not resolve a bounded phi
+        # that log-oscillates at an end, such as every beta < -1 inverse
+        return graded_rule(rule.nodes, levels=24)
     # cosine map: midpoint rule in u after xi = sin^2(pi u / 2), which is
     # the Gauss-Chebyshev rule of the reference quadratures; even count
     # keeps xi = 1/2 off the grid

@@ -221,8 +221,10 @@ def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
         h = h * np.exp(sgn * ds)
     fx = np.asarray(f(xs), dtype=float)
     num = h * np.asarray(f(xi), dtype=float)[None, :] - sinx * fx[:, None]
-    den = np.tanh(sx)[:, None] - np.tanh(s)[None, :]
-    return safe_ratio(num, den) @ w
+    # tanh s_x - tanh s = -sinh(ds) / (cosh s_x cosh s); the plain difference
+    # (about 4 x^2 ds) loses its digits and safe_ratio masks it for x < 1e-6
+    num *= np.cosh(sx)[:, None] * np.cosh(s)[None, :]
+    return -safe_ratio(num, np.sinh(ds)) @ w
 
 
 def _inverse_inside_unit(e: float, f, xs, nodes: int):
@@ -258,16 +260,16 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
     """Evaluate S^{-1}[f] at interior points by principal-value quadrature.
 
     f must be a vectorized callable on [0, 1] satisfying the regime's
-    solvability condition; a residual above SOLVABILITY_RTOL triggers a
-    warning, not an error.  For beta < -1 the formula converges only for
-    loads decaying at the oscillatory endpoint; the branch's arbitrary
-    additive constant (beta = -1) is fixed to zero.
+    solvability condition; a residual above SOLVABILITY_RTOL on the same
+    nodes triggers a warning, not an error.  For beta < -1 the formula
+    converges only for loads decaying at the oscillatory endpoint; the
+    branch's arbitrary additive constant (beta = -1) is fixed to zero.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise ValueError("the inverse is defined on the open interval (0, 1)")
     if check_solvability and regime.kind is not RegimeKind.MINUS_ONE:
-        res = solvability_residual(regime, f)
+        res = solvability_residual(regime, f, nodes)
         if res > SOLVABILITY_RTOL:
             warnings.warn(
                 f"load fails the solvability condition (residual {res:.2e}); "

@@ -89,23 +89,22 @@ class SpectralBasis:
         if not 0 <= j <= self.max_degree:
             raise ValueError(f"degree {j} outside table (max {self.max_degree})")
         x = np.asarray(x, dtype=float)
-        s = np.sin(np.pi * x / 2.0) ** 2
-        r = self.rho1
-        out = ((1.0 - s) ** r * s ** (1.0 - r) * _horner(self._c_rho[j], j, s)
-               + (1.0 - s) ** (1.0 - r) * s ** r * _horner(self._c_conj[j], j, s))
+        out = self._rows(x, [j])[0]
         return out if x.ndim else float(out)
 
     def phi_matrix(self, x) -> np.ndarray:
         """Stacked values phi_j(x) for all j <= max_degree; shape (J+1, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        return np.vstack(self._rows(x, range(self.max_degree + 1)))
+
+    def _rows(self, x, degrees):
+        """phi_j(x) for each j in degrees, the one evaluator of the family."""
         s = np.sin(np.pi * x / 2.0) ** 2
         r = self.rho1
         w1 = (1.0 - s) ** r * s ** (1.0 - r)
         w2 = (1.0 - s) ** (1.0 - r) * s ** r
-        rows = [w1 * _horner(self._c_rho[j], j, s)
-                + w2 * _horner(self._c_conj[j], j, s)
-                for j in range(self.max_degree + 1)]
-        return np.vstack(rows)
+        return [w1 * _horner(self._c_rho[j], j, s)
+                + w2 * _horner(self._c_conj[j], j, s) for j in degrees]
 
 
 def basis_from_rho1(rho1: float, max_degree: int, beta: float = float("nan")
@@ -160,19 +159,13 @@ def N_coeff(basis: SpectralBasis, j: int) -> float:
         raise ValueError("index must be nonnegative")
     if j % 2 == 1:
         return 0.0
-    return float(_moments(basis.rho1, j)[j])
+    # cached tables end at a power of two, at least 64 and at least j + 1
+    return float(_moments(basis.rho1, max(64, 1 << int(j).bit_length()))[j])
 
 
 @lru_cache(maxsize=64)
-def _moments_cached(rho1: float, kmax: int) -> np.ndarray:
+def _moments(rho1: float, kmax: int) -> np.ndarray:
     return tan_moment_sequence(rho1, kmax)
-
-
-def _moments(rho1: float, j: int) -> np.ndarray:
-    kmax = 64
-    while kmax < j + 1:
-        kmax *= 2
-    return _moments_cached(rho1, kmax)
 
 
 def M_coeff(basis: SpectralBasis, j: int) -> float:
@@ -215,31 +208,18 @@ def quadratic_load_constant(rho1: float, terms: int) -> float:
     return 1.0 / 3.0 + float(np.sum(p[2 * m] / m**2)) / math.pi**2
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
-    """Truncated cosine-expansion solution of the characteristic equation."""
-
-    basis: SpectralBasis
-    coefficients: np.ndarray
-    constant_C: float
-    m0: int
-
-    def evaluate(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        rows = self.basis.phi_matrix(x_arr)[: len(self.coefficients)]
-        vals = self.coefficients @ rows
-        return vals if np.ndim(x) else float(vals[0])
-
-
 def characteristic_series_solve(basis: SpectralBasis, fourier_coeffs,
-                                m0: int) -> SeriesSolution:
+                                m0: int):
     """Solve S[phi] = C - F from the cosine coefficients of F.
 
     fourier_coeffs[n] must equal int_0^1 F(x) cos(n pi x) dx for
     n = 0 .. m0+1.  The solution is phi = sum_{j<=m0} 2 f_{j+1} phi_j and
     the constant is fixed by the solvability condition, which reduces to
-    C = f_0 + 2 sum N_{2m} f_{2m} over the even harmonics kept.
+    C = f_0 + 2 sum N_{2m} f_{2m} over the even harmonics kept.  Returns a
+    fixsing.complete.Solution without a SolveConfig.
     """
+    from .complete import Solution
+
     f = np.asarray(fourier_coeffs, dtype=float)
     if m0 > basis.max_degree:
         raise ValueError("truncation exceeds the basis table")
@@ -249,8 +229,7 @@ def characteristic_series_solve(basis: SpectralBasis, fourier_coeffs,
     c = f[0] + 2.0 * sum(
         N_coeff(basis, n) * f[n] for n in range(2, m0 + 2, 2)
     )
-    return SeriesSolution(basis=basis, coefficients=coeffs, constant_C=float(c),
-                          m0=m0)
+    return Solution(basis=basis, b=coeffs, constant_C=float(c))
 
 
 def J_integral(alpha: float, j: int, zeta) -> float:

@@ -285,10 +285,6 @@ _SUITES = {
 }
 
 
-def available_suites():
-    return sorted(_SUITES)
-
-
 def run(suites=None, nodes: int = 512):
     """Run the named suites (all by default); returns a list of CheckResult."""
     names = list(_SUITES) if not suites else list(suites)
@@ -296,6 +292,6 @@ def run(suites=None, nodes: int = 512):
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; "
-                             f"choose from {available_suites()}")
+                             f"choose from {sorted(_SUITES)}")
         results.extend(_SUITES[name](nodes))
     return results

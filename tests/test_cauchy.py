@@ -147,3 +147,30 @@ def test_singular_system_uses_the_shared_ceiling(monkeypatch):
     monkeypatch.setattr(complete, "COND_LIMIT", 1e-3)
     with pytest.raises(complete.SingularSystemError):
         cauchy_solve(ZERO_K, lambda x: x, N=8)
+
+
+def test_basis_rows_are_weighted_second_kind_polynomials():
+    from fixsing.cauchy import CauchyBasis
+
+    xs = np.linspace(0.0, 1.0, 23)
+    rows = CauchyBasis(9).phi_matrix(xs)
+    assert rows.shape == (10, 23)
+    w = np.sqrt(xs * (1.0 - xs))
+    for j in range(10):
+        np.testing.assert_allclose(rows[j], w * chebyshev_U(j, 2.0 * xs - 1.0),
+                                   rtol=0, atol=1e-13)
+
+
+def test_routed_solve_reports_diagnostics():
+    from fixsing.cauchy import CauchyBasis
+    from fixsing.complete import KernelSpec, SolveConfig, solve
+
+    cfg = SolveConfig(N=8, t1=60, t2=64)
+    sol = solve(KernelSpec(beta=0.0, regular_part=ZERO_K), lambda x: x, cfg)
+    assert isinstance(sol.basis, CauchyBasis)
+    assert sol.config == cfg
+    assert sol.residual_report["equation_residual_max"] < 1e-7
+    assert "regularization_constant_gap" not in sol.residual_report
+    bare = solve(KernelSpec(beta=0.0, regular_part=ZERO_K), lambda x: x, cfg,
+                 diagnostics=False)
+    assert "equation_residual_max" not in bare.residual_report

@@ -285,3 +285,51 @@ def test_integer_list_without_integers_is_a_configuration_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least one integer" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["antiplane", "--lambda", "0.5", "--beta", "0.3"],
+    ["plane-strain", "--lambda", "2", "--beta", "0.3"],
+    ["gamma0", "--lambda", "2", "--beta", "0.3"],
+    ["characteristic", "--beta", "0.5", "--lambda", "2"],
+    ["characteristic", "--beta", "0.5", "--G1", "2"],
+    ["characteristic", "--beta", "0.5", "--G2", "2"],
+    ["characteristic", "--beta", "0.5", "--nu1", "0.2"],
+    ["characteristic", "--beta", "0.5", "--nu2", "0.2"],
+    ["characteristic", "--beta", "0.5", "--N", "9"],
+    ["antiplane", "--lambda", "0.5", "--nu1", "0.2"],
+    ["antiplane", "--lambda", "0.5", "--m0", "9"],
+    ["gamma0", "--lambda", "2", "--N", "9"],
+], ids=["antiplane-beta", "plane-strain-beta", "gamma0-beta",
+        "characteristic-lambda", "characteristic-G1", "characteristic-G2",
+        "characteristic-nu1", "characteristic-nu2", "characteristic-N",
+        "antiplane-nu1", "antiplane-m0", "gamma0-N"])
+def test_flags_a_command_does_not_read_are_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gamma0_accepts_the_load_flags(tmp_path):
+    code, text = run_csv(tmp_path, [
+        "gamma0", "--lambda", "2", "--load", "linear", "--amplitude", "3",
+        "--format", "csv"])
+    assert code == 0
+    assert parse_csv(text)[2].shape == (1, 3)
+
+
+def test_cauchy_route_single_run_is_diagnosed(tmp_path):
+    code, text = run_csv(tmp_path, ["antiplane", "--lambda", "1"])
+    assert code == 0
+    meta, _, _ = parse_csv(text)
+    assert meta["solver"] == "cauchy"
+    assert float(meta["equation_residual_max"]) < 1e-9
+    assert "regularization_constant_gap" not in meta
+
+
+def test_package_exports_resolve():
+    for name in fixsing.__all__:
+        assert getattr(fixsing, name) is not None, name
+    assert not hasattr(fixsing, "CauchySolution")
+    assert not hasattr(fixsing, "SeriesSolution")

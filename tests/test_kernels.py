@@ -206,15 +206,6 @@ def test_exponent_root_no_bracket():
         gamma0_root(p)
 
 
-def test_plane_strain_kernel_guards():
-    p = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
-    with pytest.raises(ValueError):
-        plane_strain_kernel(p)  # root not computed yet
-    gamma0_root(p)
-    with pytest.raises(ValueError):
-        plane_strain_kernel(p, include_K0=True)
-
-
 def test_plane_strain_kernel_homogeneous_reduces_to_difference_kernel():
     p = plane_strain_coeffs(1.0, 1.0, 0.3, 0.3)
     gamma0_root(p)
@@ -346,3 +337,18 @@ def test_gap_blocks_equal_the_two_branch_formulas():
         got = fixed_gap(s)
         assert type(got) is float and got == _fixed_gap_two_branch(s)
     assert cot_gap(0.0) == 0.0
+
+
+def test_plane_strain_params_are_frozen_and_derive_the_root():
+    p = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
+    g = gamma0_root(p)
+    assert "gamma0" not in vars(p)  # the root call leaves params untouched
+    assert p.gamma0 == g
+    assert p.beta_eff == -math.cos(math.pi * g)
+    with pytest.raises(AttributeError):
+        p.gamma0 = 0.3
+    with pytest.raises(AttributeError):
+        p.b1 = 0.0
+    # no root call is needed before the kernel is built
+    fresh = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
+    assert plane_strain_kernel(fresh).beta == p.beta_eff

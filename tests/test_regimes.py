@@ -1,6 +1,7 @@
 """Regime classification, solvability machinery and the closed-form inverses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,66 @@ def test_inverse_warns_on_unsolvable_load():
     reg = classify(0.5)
     with pytest.warns(UserWarning, match="solvability"):
         inverse_characteristic(reg, lambda t: np.ones_like(t), 0.4)
+
+
+def _oscillatory_load():
+    """A solvable load for beta = -2.83 (branch vanish-at-zero): g - c h
+    with c fixed by the solvability functional, as a benchmark instance
+    builds it."""
+    reg = classify(-2.826342903713196, Branch.VANISH_AT_ZERO)
+
+    def g(x):
+        return np.sin(np.pi * x) ** 2 * (1.0 + 0.9957346707983379 * x
+                                         + 0.5956723735875387
+                                         * np.cos(np.pi * x))
+
+    def h(x):
+        return np.sin(np.pi * x) ** 2 * (x - 0.5)
+
+    c = solvability_functional(reg, g) / solvability_functional(reg, h)
+    return reg, lambda x: g(x) - c * h(x)
+
+
+def test_inverse_below_minus_one_roundtrip_through_graded_oracle():
+    # the inverse log-oscillates at an end; a 2^-12 end panel of the
+    # oracle read this roundtrip at 1.005e-6 (768 nodes), 2^-24 at 6e-10
+    reg, f = _oscillatory_load()
+    xs = np.linspace(0.2, 0.8, 5)
+
+    def phi(t):
+        return inverse_characteristic(reg, f, t, check_solvability=False)
+    gap = oracle.apply_S(phi, reg.beta, xs, oracle.PVRule(768)) - f(xs)
+    # beta < -1 reproduces the load up to an additive constant
+    assert np.ptp(gap) < 1e-8
+
+
+def test_inverse_checks_solvability_on_its_own_nodes():
+    # solvable to 1e-13; a 256-node check read 4.6e-6 and warned
+    reg, f = _oscillatory_load()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inverse_characteristic(reg, f, np.arange(1, 42) / 42.0)
+
+
+def test_oscillatory_inverse_near_an_endpoint():
+    # tanh(s_x) - tanh(s) is about 4 x^2 (s - s_x) near a small x, which
+    # fell under the pole mask and gave phi(1e-7) = 0.098 for a phi of
+    # size 1e-3 elsewhere
+    reg = classify(2.0)
+
+    def f(t):
+        return np.cos(np.pi * t)
+    vals = [inverse_characteristic(reg, f, 1e-7, nodes=n,
+                                   check_solvability=False)
+            for n in (512, 2048)]
+    assert abs(vals[0]) < 1e-6
+    assert vals[0] == pytest.approx(vals[1], abs=1e-15)
+    xs = np.array([0.2, 0.5, 0.8])
+
+    def phi(t):
+        return inverse_characteristic(reg, f, t, check_solvability=False)
+    got = oracle.apply_S(phi, 2.0, xs, oracle.PVRule(1024))
+    np.testing.assert_allclose(got, f(xs), atol=1e-12)
 
 
 def test_inverse_domain_error():

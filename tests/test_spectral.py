@@ -179,7 +179,7 @@ def test_series_solution_coefficients_and_endpoints():
     f = linear_load_coeffs(10)
     basis = build_basis(0.5, 8)
     sol = characteristic_series_solve(basis, f[:10], 8)
-    np.testing.assert_allclose(sol.coefficients, 2.0 * f[1:10], atol=0)
+    np.testing.assert_allclose(sol.b, 2.0 * f[1:10], atol=0)
     assert sol.evaluate(0.0) == 0.0
     assert sol.evaluate(1.0) == 0.0
 
@@ -271,3 +271,22 @@ def _pv_weighted_transform(alpha, j, zeta):
 def test_J_integral_matches_pv_quadrature(alpha, j, zeta):
     assert J_integral(alpha, j, zeta) == pytest.approx(
         _pv_weighted_transform(alpha, j, zeta), abs=1e-6)
+
+
+def test_phi_equals_phi_matrix_rows_bit_for_bit():
+    basis = build_basis(-0.3, 12)
+    xs = np.linspace(0.0, 1.0, 37)
+    rows = basis.phi_matrix(xs)
+    for j in range(13):
+        np.testing.assert_array_equal(basis.phi(j, xs), rows[j])
+        assert basis.phi(j, xs[5]) == rows[j, 5]
+
+
+def test_series_solution_is_a_complete_solution():
+    from fixsing.complete import Solution
+
+    f = linear_load_coeffs(10)
+    sol = characteristic_series_solve(build_basis(0.5, 8), f[:10], 8)
+    assert isinstance(sol, Solution)
+    assert sol.config is None
+    assert len(sol.corner_coeffs) == 0
