@@ -25,7 +25,7 @@ from .kernels import (AntiplaneParams, PlaneStrainParams, NoBracketError,
                       lambda_fn, gamma0_root, plane_strain_kernel)
 from .cauchy import (CauchyBasis, cauchy_inverse, cauchy_solve,
                      u_weighted_cauchy_transform)
-from .oracle import PVRule, Scheme, apply_S, apply_K, full_residual
+from .oracle import PVRule, apply_S, apply_K, full_residual
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,6 @@ __all__ = [
     "plane_strain_kernel",
     "CauchyBasis", "cauchy_inverse", "cauchy_solve",
     "u_weighted_cauchy_transform",
-    "PVRule", "Scheme", "apply_S", "apply_K", "full_residual",
+    "PVRule", "apply_S", "apply_K", "full_residual",
     "__version__",
 ]

@@ -250,8 +250,11 @@ def cmd_gamma0(args) -> int:
     cfg = _merged(args)
     nu1 = _get_float(cfg, "nu1", 0.3)
     nu2 = _get_float(cfg, "nu2", 0.3)
-    if args.lambda_grid:
+    if args.lambda_grid is not None:
         lams = [float(tok) for tok in args.lambda_grid.split(",") if tok.strip()]
+        if not lams:
+            raise ConfigError(
+                "parameter 'lambda-grid' needs at least one value")
     elif "lambda" in cfg or "G1" in cfg:
         lams = [_material_lambda(cfg)]
     else:

@@ -51,6 +51,10 @@ COND_LIMIT = 1e12
 #: |beta| below which solve hands the equation to the Cauchy solver
 CAUCHY_BETA = 1e-9
 
+#: node budget of the principal-value rule behind the corner functions'
+#: S-images and the diagnostics of solve
+PV_NODES = 512
+
 
 class SingularSystemError(RuntimeError):
     """Truncated system numerically rank-deficient."""
@@ -67,12 +71,12 @@ class KernelSpec:
     caches the grid of one spec, keyed by the spec itself, and reuses it
     for every truncation order (see _kernel_grid).  homogeneous_corners
     marks a regular part that is homogeneous of degree -1 at both corners;
-    solve then adds the corner trial functions.
+    solve then adds the corner trial functions.  The kernel factories of
+    fixsing.kernels build one; so can any caller with its own kernel.
     """
 
     beta: float
     regular_part: Callable
-    name: str = "kernel"
     homogeneous_corners: bool = False
 
 
@@ -85,22 +89,20 @@ class SolveConfig:
     j = 0 .. N-2.  Defaults follow the reference setup (N = 17, 200/210
     nodes); unequal t1 and t2 keep the two midpoint grids from sharing
     nodes.  For kernels with homogeneous corners t2 is the budget of the
-    graded xi-rule and pv_nodes that of the corner functions' S-images;
-    otherwise pv_nodes only sizes the diagnostics.
+    graded xi-rule.  The principal-value rule of the corner functions'
+    S-images and of the diagnostics has the fixed budget PV_NODES.
     """
 
     N: int = 17
     t1: int = 200
     t2: int = 210
-    pv_nodes: int = 512
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("truncation order must be positive")
-        if self.t1 < self.N:
-            raise ValueError("t1 must be at least N to avoid cosine aliasing")
         if min(self.t1, self.t2) < self.N:
-            raise ValueError("node counts must be at least N")
+            raise ValueError("node counts t1 and t2 must be at least N "
+                             "(t1 to avoid cosine aliasing)")
 
 
 def corner_functions(power: float):
@@ -296,7 +298,7 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
         # cosine moments of their S-images
         k = np.delete(k, rows, axis=1)
         images = _corner_images(kernel.beta, 2.0 * basis.rho1, config.t1,
-                                config.pv_nodes)
+                                PV_NODES)
         x = _midpoints(config.t1)
         cosmat = np.cos(np.pi * np.outer(np.arange(len(k)), x))
         k[:, rows:] += cosmat @ images.T / config.t1
@@ -332,9 +334,9 @@ def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
     from .regimes import classify, solvability_functional
 
     report = solution.residual_report
-    nodes = solution.config.pv_nodes
     xs = np.linspace(0.1, 0.9, 5)
-    res = oracle.full_residual(solution, kernel, F, xs, oracle.PVRule(nodes))
+    res = oracle.full_residual(solution, kernel, F, xs,
+                               oracle.PVRule(PV_NODES))
     report["equation_residual_max"] = float(np.max(np.abs(res)))
     if not isinstance(solution.basis, SpectralBasis):
         # the beta = 0 weight functional does not reproduce C (it gives
@@ -347,8 +349,8 @@ def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
 
     def load_plus_k(x):
         return (np.asarray(F(x), dtype=float)
-                + oracle.apply_K(kernel, solution.evaluate, x, nodes))
+                + oracle.apply_K(kernel, solution.evaluate, x, PV_NODES))
 
     c_reg = (np.sin(np.pi * solution.basis.rho1) / 2.0
-             * solvability_functional(regime, load_plus_k, nodes))
+             * solvability_functional(regime, load_plus_k, PV_NODES))
     report["regularization_constant_gap"] = abs(c_reg - solution.constant_C)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,7 @@ _TAYLOR_RADIUS = 1e-2
 
 
 class NoBracketError(RuntimeError):
-    """The exponent function does not change sign on (0, 1)."""
+    """The exponent function does not change sign on the scanned grid."""
 
 
 def cot_gap(u):
@@ -154,33 +154,59 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
         return (cot_gap(xi - x) + beta * fixed_gap(xi + x)
                 + antiplane_R(x, xi, beta, tol) / np.pi)
 
-    return KernelSpec(beta=beta, regular_part=regular_part,
-                      name=f"antiplane(lambda={params.lam:g})")
+    return KernelSpec(beta=beta, regular_part=regular_part)
 
 
 @dataclass(frozen=True)
 class PlaneStrainParams:
     """Elastic constants of the plane-strain problem and derived kernel data.
 
-    mu0, nu0, delta0 and the quadratic-numerator coefficients b1, b2, b3
-    are fixed at construction; gamma0 and beta_eff are derived from them
-    on first use (see gamma0_root).
+    Only the shear moduli G1, G2 of the half-planes and the strip and
+    their Poisson ratios nu1, nu2 are set; construction checks them and
+    derives
+
+    mu0 = G1 (1 - nu2) / (G2 (1 - nu1)),
+    nu0 = nu1/(1 - nu1) - mu0 nu2/(1 - nu2),
+    delta0 = (3 + mu0 - nu0)(1 + 3 mu0 + nu0),
+    b1 = [ (nu0 + mu0 - 1)^2 - 4 (1 - mu0^2) ] / delta0,
+    b2 = 4 [ nu0 (nu0 - 2) - 3 (1 - mu0^2) ] / delta0,
+    b3 = [ -4 nu0 (nu0 - 2) + 3 (nu0 + mu0 - 1)^2 ] / delta0.
+
+    gamma0 and beta_eff follow from them on first use (see gamma0_root).
     """
 
     G1: float
     G2: float
     nu1: float
     nu2: float
-    mu0: float = 0.0
-    nu0: float = 0.0
-    delta0: float = 0.0
-    b1: float = 0.0
-    b2: float = 0.0
-    b3: float = 0.0
+    mu0: float = field(init=False)
+    nu0: float = field(init=False)
+    delta0: float = field(init=False)
+    b1: float = field(init=False)
+    b2: float = field(init=False)
+    b3: float = field(init=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.G1, self.G2, self.nu1, self.nu2))):
+        G1, G2, nu1, nu2 = self.G1, self.G2, self.nu1, self.nu2
+        if not all(map(math.isfinite, (G1, G2, nu1, nu2))):
             raise ValueError("elastic constants must be finite")
+        if G1 <= 0.0 or G2 <= 0.0:
+            raise ValueError("shear moduli must be positive")
+        if not (0.0 < nu1 <= 0.5 and 0.0 < nu2 <= 0.5):
+            raise ValueError("Poisson ratios must lie in (0, 1/2]")
+        mu0 = G1 * (1.0 - nu2) / (G2 * (1.0 - nu1))
+        nu0 = nu1 / (1.0 - nu1) - mu0 * nu2 / (1.0 - nu2)
+        delta0 = (3.0 + mu0 - nu0) * (1.0 + 3.0 * mu0 + nu0)
+        if delta0 == 0.0:
+            raise ValueError("degenerate constants: delta0 vanishes")
+        s = nu0 + mu0 - 1.0
+        # the instance is frozen; set the derived fields as cached_property
+        # sets gamma0, through the instance dict
+        vars(self).update(
+            mu0=mu0, nu0=nu0, delta0=delta0,
+            b1=(s * s - 4.0 * (1.0 - mu0 * mu0)) / delta0,
+            b2=4.0 * (nu0 * (nu0 - 2.0) - 3.0 * (1.0 - mu0 * mu0)) / delta0,
+            b3=(-4.0 * nu0 * (nu0 - 2.0) + 3.0 * s * s) / delta0)
 
     @cached_property
     def gamma0(self) -> float:
@@ -195,30 +221,8 @@ class PlaneStrainParams:
 
 def plane_strain_coeffs(G1: float, G2: float, nu1: float, nu2: float
                         ) -> PlaneStrainParams:
-    """Derived constants mu0, nu0, delta0 and b1, b2, b3.
-
-    mu0 = G1 (1 - nu2) / (G2 (1 - nu1)),
-    nu0 = nu1/(1 - nu1) - mu0 nu2/(1 - nu2),
-    delta0 = (3 + mu0 - nu0)(1 + 3 mu0 + nu0),
-    b1 = [ (nu0 + mu0 - 1)^2 - 4 (1 - mu0^2) ] / delta0,
-    b2 = 4 [ nu0 (nu0 - 2) - 3 (1 - mu0^2) ] / delta0,
-    b3 = [ -4 nu0 (nu0 - 2) + 3 (nu0 + mu0 - 1)^2 ] / delta0.
-    """
-    if G1 <= 0.0 or G2 <= 0.0:
-        raise ValueError("shear moduli must be positive")
-    if not (0.0 < nu1 <= 0.5 and 0.0 < nu2 <= 0.5):
-        raise ValueError("Poisson ratios must lie in (0, 1/2]")
-    mu0 = G1 * (1.0 - nu2) / (G2 * (1.0 - nu1))
-    nu0 = nu1 / (1.0 - nu1) - mu0 * nu2 / (1.0 - nu2)
-    delta0 = (3.0 + mu0 - nu0) * (1.0 + 3.0 * mu0 + nu0)
-    if delta0 == 0.0:
-        raise ValueError("degenerate constants: delta0 vanishes")
-    s = nu0 + mu0 - 1.0
-    b1 = (s * s - 4.0 * (1.0 - mu0 * mu0)) / delta0
-    b2 = 4.0 * (nu0 * (nu0 - 2.0) - 3.0 * (1.0 - mu0 * mu0)) / delta0
-    b3 = (-4.0 * nu0 * (nu0 - 2.0) + 3.0 * s * s) / delta0
-    return PlaneStrainParams(G1=G1, G2=G2, nu1=nu1, nu2=nu2, mu0=mu0,
-                             nu0=nu0, delta0=delta0, b1=b1, b2=b2, b3=b3)
+    """PlaneStrainParams(G1, G2, nu1, nu2), with its derived constants."""
+    return PlaneStrainParams(G1, G2, nu1, nu2)
 
 
 def lambda_fn(gamma, params: PlaneStrainParams):
@@ -246,10 +250,12 @@ def _lambda_prime(gamma: float, params: PlaneStrainParams) -> float:
 def gamma0_root(params: PlaneStrainParams, tol: float = 1e-13) -> float:
     """Root gamma0 of the exponent equation on (0, 1).
 
-    A 1000-point scan brackets the sign change (multiple changes are
-    flagged, the first is used), bisection narrows the bracket, and Newton
-    steps polish to tol.  params is not modified; params.gamma0 is this
-    root at the default tol.
+    A scan of the 999 interior nodes 1e-3 .. 0.999 brackets the sign
+    change (multiple changes are flagged, the first is used), bisection
+    narrows the bracket, and Newton steps polish to tol.  A root outside
+    the scanned range raises NoBracketError, as for lambda below about
+    1.4e-6 at nu = 0.3, where gamma0 < 1e-3.  params is not modified;
+    params.gamma0 is this root at the default tol.
     """
     grid = np.linspace(0.0, 1.0, 1001)[1:-1]
     vals = lambda_fn(grid, params)
@@ -257,8 +263,8 @@ def gamma0_root(params: PlaneStrainParams, tol: float = 1e-13) -> float:
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
         raise NoBracketError(
-            "exponent function has no sign change on (0, 1); "
-            "constants outside the supported regime"
+            "exponent function has no sign change on the scanned range "
+            "[1e-3, 0.999]; constants outside the supported regime"
         )
     if len(flips) > 1:
         warnings.warn("multiple sign changes of the exponent function; "
@@ -310,5 +316,4 @@ def plane_strain_kernel(params: PlaneStrainParams) -> KernelSpec:
         return (cot_gap(xi - x) + beta * fixed_gap(s) + (q + qm) / np.pi)
 
     return KernelSpec(beta=beta, regular_part=regular_part,
-                      name=f"plane-strain(gamma0={params.gamma0:.6f})",
                       homogeneous_corners=True)

@@ -8,7 +8,6 @@ all be checked end to end.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,36 +15,15 @@ import numpy as np
 from ._quad import graded_rule, kernel_grid, log_cot_half, safe_ratio
 
 
-class Scheme(enum.Enum):
-    SUBTRACT_SINGULARITY = "subtract"
-    COSINE_MAP = "cosine-map"
-
-
 @dataclass(frozen=True)
 class PVRule:
-    """Node budget and scheme of the principal-value rule."""
+    """Node budget of the principal-value rule of apply_S."""
 
     nodes: int = 512
-    scheme: Scheme = Scheme.SUBTRACT_SINGULARITY
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ValueError("need at least 16 nodes")
-
-
-def _rule_nodes(rule: PVRule):
-    if rule.scheme is Scheme.SUBTRACT_SINGULARITY:
-        # graded to 2^-24: a 2^-12 end panel does not resolve a bounded phi
-        # that log-oscillates at an end, such as every beta < -1 inverse
-        return graded_rule(rule.nodes, levels=24)
-    # cosine map: midpoint rule in u after xi = sin^2(pi u / 2), which is
-    # the Gauss-Chebyshev rule of the reference quadratures; even count
-    # keeps xi = 1/2 off the grid
-    t = rule.nodes + (rule.nodes % 2)
-    u = (2.0 * np.arange(1, t + 1) - 1.0) / (2.0 * t)
-    xi = np.sin(np.pi * u / 2.0) ** 2
-    w = (np.pi / 2.0) * np.sin(np.pi * u) / t
-    return xi, w
 
 
 def apply_S(phi, beta: float, x, rule: PVRule | None = None):
@@ -63,7 +41,9 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise ValueError("the operator is evaluated at interior points")
-    xi, w = _rule_nodes(rule)
+    # graded to 2^-24: a 2^-12 end panel does not resolve a bounded phi
+    # that log-oscillates at an end, such as every beta < -1 inverse
+    xi, w = graded_rule(rule.nodes, levels=24)
     phix = np.asarray(phi(xs), dtype=float)
     phixi = np.asarray(phi(xi), dtype=float)
 

@@ -19,7 +19,8 @@ Concretely
 
 where q_j(S; alpha) = sum_nu c_{j nu}(alpha) S^nu and the coefficients come
 from a terminating double sum of Pochhammer products.  Tables of c are
-built once per (beta, max_degree) and cached; evaluation is Horner in S.
+built once per (exponent, max_degree), one for alpha = rho1 and one for
+alpha = 1 - rho1, and cached; evaluation is Horner in S.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ import numpy as np
 
 from .specfun import chebyshev_T
 
-#: degrees beyond this are known to be numerically fragile
+#: phi_j loses digits with j to cancellation in the monomial tables:
+#: |c_{j nu}| grows geometrically (3.3e12 at j = 17 for rho1 = 0.8) while
+#: phi_j stays of order 1, so Horner in S cancels about log10 max|c_{j nu}|
+#: digits; at this degree (3.7e18) none are left
 STABLE_DEGREE = 25
 
 

@@ -196,6 +196,28 @@ def test_nonconvergent_series_is_a_numerical_failure(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ["plane-strain", "--lambda", "1e-7"],
+    ["gamma0", "--lambda-grid", "1e-7"],
+], ids=["plane-strain", "gamma0"])
+def test_exponent_root_below_scan_is_a_numerical_failure(args, capsys):
+    # Lambda(0) = 8e-7 > 0 > Lambda(1e-3): the root exists but lies below
+    # the first scanned node, and the message names the scanned range
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[1e-3, 0.999]" in err
+    assert "(0, 1)" not in err
+
+
+@pytest.mark.parametrize("grid", [",", ""])
+def test_empty_lambda_grid_is_a_configuration_error(grid, capsys):
+    assert main(["gamma0", "--lambda-grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "lambda-grid" in err
+
+
+@pytest.mark.parametrize("args", [
     ["antiplane", "--lambda", "nan"],
     ["antiplane", "--lambda", "inf"],
     ["antiplane", "--lambda", "0.5", "--amplitude", "nan"],

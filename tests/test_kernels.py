@@ -137,6 +137,32 @@ def test_plane_strain_coeffs_validation():
         plane_strain_coeffs(1.0, 1.0, 0.0, 0.3)
 
 
+def test_plane_strain_params_derive_their_constants():
+    # the constructor takes the four elastic constants and derives the
+    # rest; a derived field can no longer be left at a default
+    p = PlaneStrainParams(2.0, 1.0, 0.3, 0.3)
+    assert p == plane_strain_coeffs(2.0, 1.0, 0.3, 0.3)
+    assert p.gamma0 == 0.5661093343051119
+    x, xi = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.1, 0.9, 5))
+    np.testing.assert_array_equal(
+        plane_strain_kernel(p).regular_part(x, xi),
+        plane_strain_kernel(plane_strain_coeffs(2.0, 1.0, 0.3, 0.3))
+        .regular_part(x, xi))
+
+
+@pytest.mark.parametrize("args", [(-1.0, 1.0, 0.3, 0.3),
+                                  (1.0, 1.0, 0.0, 0.3),
+                                  (1.0, 1.0, 0.3, 0.6)])
+def test_plane_strain_params_validate_at_construction(args):
+    with pytest.raises(ValueError):
+        PlaneStrainParams(*args)
+
+
+def test_plane_strain_params_reject_derived_arguments():
+    with pytest.raises(TypeError):
+        PlaneStrainParams(1.0, 1.0, 0.3, 0.3, b1=0.0)
+
+
 @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.3, 0.3),
                                   (math.inf, 1.0, 0.3, 0.3),
                                   (1.0, math.inf, 0.3, 0.3),
@@ -199,9 +225,10 @@ def test_exponent_root_residual_and_simple_root():
     assert abs(slope) > 1.0
 
 
-def test_exponent_root_no_bracket():
-    p = PlaneStrainParams(G1=1.0, G2=1.0, nu1=0.3, nu2=0.3, mu0=3.0,
-                          nu0=0.0, delta0=0.1, b1=0.0, b2=0.0, b3=0.0)
+def test_exponent_root_no_bracket(monkeypatch):
+    p = plane_strain_coeffs(1.0, 1.0, 0.3, 0.3)
+    monkeypatch.setattr("fixsing.kernels.lambda_fn",
+                        lambda g, params: np.ones_like(np.asarray(g, float)))
     with pytest.raises(NoBracketError):
         gamma0_root(p)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fixsing.oracle import PVRule, Scheme, apply_K, apply_S, full_residual
+from fixsing.oracle import PVRule, apply_K, apply_S, full_residual
 from fixsing.complete import KernelSpec, SolveConfig, solve
 from fixsing.kernels import AntiplaneParams, antiplane_kernel
 from fixsing.spectral import (N_coeff, build_basis,
@@ -60,15 +60,6 @@ def test_apply_S_at_panel_midpoint_evaluation_points():
         got = apply_S(lambda t: basis.phi(1, t), 0.5, x, PVRule(512))
         want = N_coeff(basis, 2) - np.cos(2 * np.pi * x)
         assert got == pytest.approx(want, abs=1e-6)
-
-
-def test_cosine_map_scheme_agrees():
-    basis = build_basis(0.5, 2)
-    xs = np.array([0.3, 0.55])
-    want = N_coeff(basis, 2) - np.cos(2 * np.pi * xs)
-    got = apply_S(lambda t: basis.phi(1, t), 0.5, xs,
-                  PVRule(2048, Scheme.COSINE_MAP))
-    np.testing.assert_allclose(got, want, atol=1e-4)
 
 
 def test_apply_S_of_inverse_is_identity():
