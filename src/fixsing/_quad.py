@@ -189,8 +189,8 @@ def kernel_grid(k, x, xi) -> np.ndarray:
 
     The grid is filled in row blocks of about _GRID_BLOCK elements, so k
     must act elementwise; a kernel that adapts its work to the block it is
-    given (a series truncated by the block's smallest argument) has to meet
-    its tolerance on every block.
+    given (the antiplane image sums, whose term count follows the block's
+    largest squared argument) has to meet its tolerance on every block.
     """
     out = np.empty((len(x), len(xi)))
     rows = max(1, _GRID_BLOCK // len(xi))

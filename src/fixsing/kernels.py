@@ -75,6 +75,11 @@ def fixed_gap(v):
     return out if v.ndim else float(out)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("series tolerance must be positive and finite")
+
+
 @dataclass(frozen=True)
 class AntiplaneParams:
     """Shear-modulus ratio lambda = G1/G2 of half-planes to strip."""
@@ -85,21 +90,29 @@ class AntiplaneParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("modulus ratio must be positive and finite")
+        _check_tol(self.series_tol)
 
     @property
     def beta(self) -> float:
         return (self.lam - 1.0) / (self.lam + 1.0)
 
 
-def antiplane_D(x, beta: float, tol: float = 1e-12):
-    """Tail series D(x) = sum_{j>=1} beta^(2j) / (x + 2j) for x > -2.
+#: terms a reflection series may sum before it gives up; reached as
+#: beta^2 -> 1, for lambda outside about [5e-4, 2e3] in antiplane_R, and
+#: reported by the CLI as exit 3
+_MAX_TERMS = 10_000
 
+
+def antiplane_D(x, beta: float, tol: float = 1e-12):
+    """One-sided image series D(x) = sum_{j>=1} beta^(2j) / (x + 2j), x > -2.
+
+    The reflection part antiplane_R pairs these series instead of calling
+    this one; it stays as the reference form that verify checks R against.
     Truncated once the geometric majorant
     beta^(2(J+1)) / ((x + 2J + 2)(1 - beta^2)) drops below tol at the
-    smallest x given, so the term count depends on min(x) of the array:
-    a grid evaluated in row blocks (_quad.kernel_grid) may sum a different
-    number of terms per block, and every block still meets tol.
+    smallest x given, so the term count depends on min(x) of the array.
     """
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     if np.any(x <= -2.0):
         raise ValueError("argument must exceed -2")
@@ -123,20 +136,65 @@ def antiplane_D(x, beta: float, tol: float = 1e-12):
         total += term
         if power * b2 / ((xmin + 2.0 * (j + 1)) * (1.0 - b2)) < tol:
             break
-        if j > 10_000:
-            # reached as beta^2 -> 1, for lambda outside about
-            # [5.9e-4, 1.68e3]; the CLI reports it as exit 3
+        if j > _MAX_TERMS:
             raise RuntimeError("series failed to converge")
     return total if x.ndim else float(total)
 
 
+def _image_sum(y, m: float, power: float, b2: float, tol: float):
+    """sum_{k>=0} power b2^k / ((m + 2k)^2 - y^2) for |y| < m, elementwise.
+
+    Summed in place on y's block (see antiplane_D for why) and truncated
+    once the geometric majorant
+    power b2^(k+1) / (((m + 2k + 2)^2 - max y^2)(1 - b2)) of the rest drops
+    below tol, so the term count follows the block's largest y^2.
+    """
+    y2 = np.square(y)
+    y2max = float(np.max(y2))
+    if not y2max < m * m:
+        raise ValueError("reflection argument outside the image strip")
+    total = np.zeros_like(y2)
+    term = np.empty_like(y2)
+    for _ in range(_MAX_TERMS):
+        np.subtract(m * m, y2, out=term)
+        np.divide(power, term, out=term)
+        total += term
+        power *= b2
+        m += 2.0
+        if power / ((m * m - y2max) * (1.0 - b2)) < tol:
+            return total
+    raise RuntimeError("series failed to converge")
+
+
 def antiplane_R(x, xi, beta: float, tol: float = 1e-12):
-    """Reflection part of the antiplane kernel (image sums across the strip)."""
-    d = lambda y: antiplane_D(y, beta, tol)
-    s = x + xi
+    """Reflection part of the antiplane kernel (image sums across the strip).
+
+    With s = x + xi and u = x - xi the one-sided form
+    beta [D(s) - D(2 - s)] + beta^2 [D(2 - u) - D(2 + u) + 2u/(4 - u^2)]
+    pairs term by term into
+
+        2 beta (1 - s) sum_{j>=1} beta^(2j) / ((2j + 1)^2 - (1 - s)^2)
+      + 2 beta^2 u sum_{j>=0} beta^(2j) / ((2j + 2)^2 - u^2),
+
+    whose j = 0 term of the second sum is the explicit 2u/(4 - u^2).  Each
+    sum stops at tol/100: unlike D(s) - D(2 - s) the paired terms carry no
+    tail cancellation.  Defined for |1 - s| < 3 and |u| < 2, which holds on
+    the crack square; exactly 0 at beta = 0.
+    """
+    _check_tol(tol)
+    a = 1.0 - (x + xi)
+    if beta == 0.0:
+        return np.zeros_like(a) if np.ndim(a) else 0.0
     u = x - xi
-    return (beta * (d(s) - d(2.0 - s))
-            + beta**2 * (d(2.0 - u) - d(2.0 + u) + 2.0 * u / (4.0 - u * u)))
+    b2 = beta * beta
+    out = _image_sum(a, 3.0, b2, b2, tol / 100.0)
+    out *= a
+    out *= 2.0 * beta
+    second = _image_sum(u, 2.0, 1.0, b2, tol / 100.0)
+    second *= u
+    second *= 2.0 * b2
+    out += second
+    return out if np.ndim(out) else float(out)
 
 
 def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:

@@ -18,9 +18,10 @@ Concretely
              + (1-S)^(1-rho1) S^rho1 q_j(S; 1-rho1),   S = sin^2(pi x / 2),
 
 where q_j(S; alpha) = sum_nu c_{j nu}(alpha) S^nu and the coefficients come
-from a terminating double sum of Pochhammer products.  Tables of c are
-built once per (exponent, max_degree), one for alpha = rho1 and one for
-alpha = 1 - rho1, and cached; evaluation is Horner in S.
+from a terminating double sum of Pochhammer products.  A row of c does not
+depend on the table size, so one read-only table per exponent, at least
+STABLE_DEGREE deep, is built and cached, and every basis of that exponent
+holds views of its leading block; evaluation is Horner in S.
 """
 
 from __future__ import annotations
@@ -65,7 +66,14 @@ def _coeff_table(alpha: float, max_degree: int) -> np.ndarray:
         for nu in range(j + 1):
             ms = np.arange(nu + 1, j + 2)
             c[j, nu] = pref * float(np.dot(a[ms], b[ms - 1 - nu]))
+    c.flags.writeable = False
     return c
+
+
+def _coeff_rows(alpha: float, degree: int) -> np.ndarray:
+    """Read-only view c[:degree+1, :degree+1] of the exponent's shared table."""
+    return _coeff_table(alpha, max(degree, STABLE_DEGREE))[:degree + 1,
+                                                            :degree + 1]
 
 
 def _horner(coeffs_row: np.ndarray, degree: int, s: np.ndarray) -> np.ndarray:
@@ -129,8 +137,8 @@ def basis_from_rho1(rho1: float, max_degree: int, beta: float = float("nan")
         beta=beta,
         rho1=rho1,
         max_degree=max_degree,
-        _c_rho=_coeff_table(rho1, max_degree),
-        _c_conj=_coeff_table(1.0 - rho1, max_degree),
+        _c_rho=_coeff_rows(rho1, max_degree),
+        _c_conj=_coeff_rows(1.0 - rho1, max_degree),
     )
 
 
@@ -257,6 +265,6 @@ def J_integral(alpha: float, j: int, zeta) -> float:
     if j == 0:
         return lead if zeta.ndim else float(lead)
     t = (1.0 - zeta) / 2.0
-    tail = _horner(_coeff_table(alpha, j - 1)[j - 1], j - 1, t)
+    tail = _horner(_coeff_rows(alpha, j - 1)[j - 1], j - 1, t)
     out = lead - tail
     return out if zeta.ndim else float(out)

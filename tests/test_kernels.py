@@ -1,14 +1,16 @@
 """Problem kernels: antiplane reflection series, plane-strain constants,
 the endpoint-exponent root, and stable kernel evaluation."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from fixsing.kernels import (_TAYLOR_RADIUS, AntiplaneParams, NoBracketError,
-                             PlaneStrainParams, antiplane_D, antiplane_kernel,
-                             cot_gap, fixed_gap, gamma0_root, lambda_fn,
+                             PlaneStrainParams, antiplane_D, antiplane_R,
+                             antiplane_kernel, cot_gap, fixed_gap,
+                             gamma0_root, lambda_fn,
                              plane_strain_coeffs, plane_strain_kernel)
 from fixsing.complete import SolveConfig, solve
 from fixsing import cauchy
@@ -379,3 +381,78 @@ def test_plane_strain_params_are_frozen_and_derive_the_root():
     # no root call is needed before the kernel is built
     fresh = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
     assert plane_strain_kernel(fresh).beta == p.beta_eff
+
+
+_REFLECTION_X = np.array([0.0, 1.0, 0.0, 0.37, 0.92, 0.05, 0.61])
+_REFLECTION_XI = np.array([0.0, 1.0, 1.0, 0.58, 0.11, 0.97, 0.61])
+
+
+@functools.lru_cache(maxsize=None)
+def _reflection_reference(beta):
+    """30-digit R at the points above, from the Lerch form of the series,
+    D(y) = (b^2/2) Phi(b^2, 1, y/2 + 1) (DLMF 25.14.1)."""
+    from mpmath import lerchphi, mp, mpf
+
+    mp.dps = 30
+    b = mpf(beta)
+    z = b * b
+
+    def d_mp(y):
+        return z / 2 * lerchphi(z, 1, y / 2 + 1)
+
+    out = []
+    for xa, xb in zip(_REFLECTION_X, _REFLECTION_XI):
+        s, u = mpf(xa) + mpf(xb), mpf(xa) - mpf(xb)
+        out.append(float(b * (d_mp(s) - d_mp(2 - s))
+                         + z * (d_mp(2 - u) - d_mp(2 + u)
+                                + 2 * u / (4 - u * u))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lam", [5e-4, 1e-3, 0.1, 0.5, 3.0, 100.0, 1e3, 2e3])
+def test_paired_reflection_sums_against_lerch_reference(lam):
+    beta = AntiplaneParams(lam=lam).beta
+    got = antiplane_R(_REFLECTION_X, _REFLECTION_XI, beta)
+    want = _reflection_reference(beta)
+    assert np.max(np.abs(got - want)) < 5e-14
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 100.0])
+def test_paired_reflection_sums_meet_a_loose_tolerance(lam):
+    beta = AntiplaneParams(lam=lam).beta
+    got = antiplane_R(_REFLECTION_X, _REFLECTION_XI, beta, tol=1e-6)
+    want = _reflection_reference(beta)
+    assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_paired_reflection_sums_vanish_without_contrast():
+    assert antiplane_R(0.3, 0.6, 0.0) == 0.0
+    assert not np.any(antiplane_R(_REFLECTION_X, _REFLECTION_XI, 0.0))
+
+
+def test_paired_reflection_sums_domain():
+    with pytest.raises(ValueError, match="strip"):
+        antiplane_R(0.0, 2.5, 0.5)
+    with pytest.raises(ValueError, match="strip"):
+        antiplane_R(-3.0, -1.5, 0.5)
+
+
+def test_antiplane_solves_across_the_widened_stiffness_range():
+    cfg = SolveConfig(N=5, t1=40, t2=44)
+    for lam in (5e-4, 2e3):
+        kern = antiplane_kernel(AntiplaneParams(lam=lam))
+        sol = solve(kern, lambda x: x, cfg, diagnostics=False)
+        assert np.all(np.isfinite(sol.b)) and np.isfinite(sol.constant_C)
+    kern = antiplane_kernel(AntiplaneParams(lam=1e4))
+    with pytest.raises(RuntimeError, match="converge"):
+        solve(kern, lambda x: x, cfg, diagnostics=False)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_series_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        AntiplaneParams(lam=0.5, series_tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        antiplane_D(0.5, 0.5, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        antiplane_R(0.3, 0.6, 0.5, tol=tol)

@@ -290,3 +290,14 @@ def test_series_solution_is_a_complete_solution():
     assert isinstance(sol, Solution)
     assert sol.config is None
     assert len(sol.corner_coeffs) == 0
+
+
+def test_basis_tables_are_read_only_views_of_one_table_per_exponent():
+    small, large = build_basis(0.5, 8), build_basis(0.5, 20)
+    for a, b in ((small._c_rho, large._c_rho), (small._c_conj, large._c_conj)):
+        assert a.shape == (9, 9)
+        assert np.array_equal(a, b[:9, :9])
+        assert np.shares_memory(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+    x = np.linspace(0.0, 1.0, 41)
+    assert np.array_equal(small.phi_matrix(x), large.phi_matrix(x)[:9])
