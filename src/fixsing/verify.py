@@ -264,15 +264,15 @@ def _kernels_checks(nodes):
     yield CheckResult("kernels", "reflection-series-tail-bound",
                       float(np.max(np.abs(got - direct))), 1e-11)
 
-    # the paired image sums of antiplane_R against the one-sided form
+    # the paired image sums of antiplane_R against the one-sided form,
+    # with the four D arguments in one call
     x, xi = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
     s, u = x + xi, x - xi
     err = 0.0
     for beta in (0.3, 0.8, 0.99):
-        d = lambda y, beta=beta: kernels.antiplane_D(y, beta)
-        one_sided = (beta * (d(s) - d(2.0 - s))
-                     + beta**2 * (d(2.0 - u) - d(2.0 + u)
-                                  + 2.0 * u / (4.0 - u * u)))
+        d = kernels.antiplane_D(np.stack([s, 2.0 - s, 2.0 - u, 2.0 + u]), beta)
+        one_sided = (beta * (d[0] - d[1])
+                     + beta**2 * (d[2] - d[3] + 2.0 * u / (4.0 - u * u)))
         err = max(err, float(np.max(np.abs(
             kernels.antiplane_R(x, xi, beta) - one_sided))))
     yield CheckResult("kernels", "paired-reflection-sums", err, 1e-11)
