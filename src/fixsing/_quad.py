@@ -147,14 +147,19 @@ def _gauss_jacobi_cached(n, alpha, beta):
     return z, w
 
 
-def log_tan_rule(nodes: int = 512, smax: float = 34.0):
+#: half-width of the default log-tangent window
+LOG_TAN_SMAX = 34.0
+
+
+def log_tan_rule(nodes: int = 512, smax: float = LOG_TAN_SMAX):
     """Composite Gauss rule on the line for the map s = log tan(pi x / 2).
 
     Under this substitution tan(pi xi/2) = e^s, cos(pi xi) = -tanh(s),
     sin(pi xi) = sech(s) and dxi = sech(s) ds / pi, so endpoint
     log-oscillations cos(2 eps log tan(pi xi/2)) become plain slow cosines
     in s while the measure decays like e^-|s|.  Truncation at |s| = smax
-    is below machine precision.
+    is below machine precision for integrands centred near s = 0; a wider
+    window keeps the default 34 panels' order (and edges, for even smax).
 
     Returns (s, xi, w) with w the quadrature weights including the
     sech(s)/pi Jacobian.
@@ -165,7 +170,7 @@ def log_tan_rule(nodes: int = 512, smax: float = 34.0):
 @lru_cache(maxsize=32)
 def _log_tan_rule_cached(nodes: int, smax: float):
     n_panels = max(8, int(smax))
-    order = max(6, (nodes // n_panels) & ~1)
+    order = max(6, (nodes // int(LOG_TAN_SMAX)) & ~1)
     gx, gw = _gauss_cache(order)
     edges = np.linspace(-smax, smax, n_panels + 1)
     a = edges[:-1]
@@ -189,14 +194,20 @@ def kernel_grid(k, x, xi) -> np.ndarray:
 
     The grid is filled in row blocks of about _GRID_BLOCK elements, so k
     must act elementwise; a kernel that adapts its work to the block it is
-    given (the antiplane image sums, whose term count follows the block's
-    largest squared argument) has to meet its tolerance on every block.
+    given has to meet its tolerance on every block (in the package:
+    kernels._image_sum, sized by the block's largest argument).
     """
     out = np.empty((len(x), len(xi)))
     rows = max(1, _GRID_BLOCK // len(xi))
     for i in range(0, len(x), rows):
         out[i:i + rows] = k(x[i:i + rows, None], xi[None, :])
     return out
+
+
+def values_at(f, x) -> np.ndarray:
+    """f(x) as a float array of x's shape; a scalar result is filled out."""
+    vals, shape = np.asarray(f(x), dtype=float), np.shape(x)
+    return vals if vals.shape == shape else np.full(shape, vals)
 
 
 def safe_ratio(num, den, tol: float = 1e-13):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complete
-from ._quad import kernel_grid, safe_ratio
+from ._quad import kernel_grid, safe_ratio, values_at
 from .specfun import chebyshev_T, chebyshev_U
 
 
@@ -60,8 +60,8 @@ def cauchy_inverse(F, x, nodes: int = 256):
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise ValueError("the inverse is defined on the open interval (0, 1)")
     xi = _chebyshev_midpoints(nodes)
-    fx = np.asarray(F(xs), dtype=float)
-    num = np.asarray(F(xi), dtype=float)[None, :] - fx[:, None]
+    fx = values_at(F, xs)
+    num = values_at(F, xi)[None, :] - fx[:, None]
     ratio = safe_ratio(num, xi[None, :] - xs[:, None], tol=1e-14)
     vals = -np.sqrt(xs * (1.0 - xs)) / len(xi) * ratio.sum(axis=1)
     return vals if np.ndim(x) else float(vals[0])
@@ -124,7 +124,7 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
     x = 0.5 * (1.0 + np.cos(np.pi * s1))
     xi = 0.5 * (1.0 + np.cos(np.pi * s2))
 
-    fvals = np.asarray(F(x), dtype=float)
+    fvals = values_at(F, x)
     cos1 = np.cos(np.pi * np.outer(np.arange(N + 1), s1))
     f = cos1 @ fvals / t1
 

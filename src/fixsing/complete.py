@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ._quad import graded_rule, kernel_grid
+from ._quad import graded_rule, kernel_grid, values_at
 from .oracle import PVRule, apply_S
 from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
 
@@ -67,12 +67,14 @@ class KernelSpec:
     regular_part(x, xi) must accept broadcastable arrays and return finite
     values on the open square and the diagonal; corner growth (toward
     xi = x = 0 and xi = x = 1) is allowed since quadrature nodes are
-    interior midpoints.  It must be a pure function of (x, xi): solve
-    caches the grid of one spec, keyed by the spec itself, and reuses it
-    for every truncation order (see _kernel_grid).  homogeneous_corners
-    marks a regular part that is homogeneous of degree -1 at both corners;
-    solve then adds the corner trial functions.  The kernel factories of
-    fixsing.kernels build one; so can any caller with its own kernel.
+    interior midpoints.  Grids are filled in row blocks, so work adapted to
+    a block (only kernels._image_sum) must meet its tolerance on each.  It
+    must be a pure function of (x, xi): solve caches the grid of one spec,
+    keyed by the spec itself, and reuses it for every truncation order
+    (see _kernel_grid).  homogeneous_corners marks a regular part that is
+    homogeneous of degree -1 at both corners; solve then adds the corner
+    trial functions.  The kernel factories of fixsing.kernels build one;
+    so can any caller with its own kernel.
     """
 
     beta: float
@@ -163,7 +165,7 @@ def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
         raise ValueError("n_max must stay below the node count")
     x = _midpoints(t1)
     n = np.arange(n_max + 1)
-    return np.cos(np.pi * np.outer(n, x)) @ np.asarray(F(x), dtype=float) / t1
+    return np.cos(np.pi * np.outer(n, x)) @ values_at(F, x) / t1
 
 
 @lru_cache(maxsize=32)
@@ -348,7 +350,7 @@ def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
     regime = classify(kernel.beta)
 
     def load_plus_k(x):
-        return (np.asarray(F(x), dtype=float)
+        return (values_at(F, x)
                 + oracle.apply_K(kernel, solution.evaluate, x, PV_NODES))
 
     c_reg = (np.sin(np.pi * solution.basis.rho1) / 2.0

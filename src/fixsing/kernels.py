@@ -97,10 +97,39 @@ class AntiplaneParams:
         return (self.lam - 1.0) / (self.lam + 1.0)
 
 
-#: terms a reflection series may sum before it gives up; reached as
-#: beta^2 -> 1, for lambda outside about [5e-4, 2e3] in antiplane_R, and
-#: reported by the CLI as exit 3
+#: terms an image series may sum; reached as beta^2 -> 1 (lambda outside
+#: about [5e-4, 2e3] in antiplane_R) and reported by the CLI as exit 3
 _MAX_TERMS = 10_000
+
+
+def _image_sum(z, den, power: float, b2: float, tol: float):
+    """sum_{k>=0} power b2^k / (den(k) - z) elementwise, for max z < den(0).
+
+    den(k) grows with k.  Before any pass over z the term count K is set
+    from the block's largest z, as the least K whose geometric majorant
+    power b2^K / ((den(K) - max z)(1 - b2)) of the rest is below tol; a K
+    above _MAX_TERMS raises at once.  The passes run in place: a kernel
+    grid (~330 KB) is above glibc's mmap threshold, so a fresh temporary
+    per term would be faulted in anew (~80k page faults per solve).
+    """
+    zmax = float(np.max(z))
+    if not zmax < den(0):
+        raise ValueError("image-series argument outside the strip")
+    bound = power
+    for count in range(1, _MAX_TERMS + 1):
+        bound *= b2
+        if bound / ((den(count) - zmax) * (1.0 - b2)) < tol:
+            break
+    else:
+        raise RuntimeError("series failed to converge")
+    total = np.zeros_like(z)
+    term = np.empty_like(z)
+    for k in range(count):
+        np.subtract(den(k), z, out=term)
+        np.divide(power, term, out=term)
+        total += term
+        power *= b2
+    return total
 
 
 def antiplane_D(x, beta: float, tol: float = 1e-12):
@@ -108,62 +137,13 @@ def antiplane_D(x, beta: float, tol: float = 1e-12):
 
     The reflection part antiplane_R pairs these series instead of calling
     this one; it stays as the reference form that verify checks R against.
-    Truncated once the geometric majorant
-    beta^(2(J+1)) / ((x + 2J + 2)(1 - beta^2)) drops below tol at the
-    smallest x given, so the term count depends on min(x) of the array.
+    Summed by _image_sum with z = -x, so the term count follows min(x).
     """
     _check_tol(tol)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= -2.0):
-        raise ValueError("argument must exceed -2")
-    if beta == 0.0:
-        z = np.zeros_like(x)
-        return z if x.ndim else 0.0
     b2 = beta * beta
-    xmin = float(np.min(x))
-    total = np.zeros_like(x)
-    term = np.empty_like(x)
-    power = 1.0
-    j = 0
-    while True:
-        j += 1
-        power *= b2
-        # in place: a kernel grid (~330 KB) is above glibc's mmap
-        # threshold, so a fresh temporary per term is mapped and faulted in
-        # anew each pass (~80k page faults per solve at lambda = 100)
-        np.add(x, 2.0 * j, out=term)
-        np.divide(power, term, out=term)
-        total += term
-        if power * b2 / ((xmin + 2.0 * (j + 1)) * (1.0 - b2)) < tol:
-            break
-        if j > _MAX_TERMS:
-            raise RuntimeError("series failed to converge")
+    total = _image_sum(-x, lambda k: 2.0 * k + 2.0, b2, b2, tol)
     return total if x.ndim else float(total)
-
-
-def _image_sum(y, m: float, power: float, b2: float, tol: float):
-    """sum_{k>=0} power b2^k / ((m + 2k)^2 - y^2) for |y| < m, elementwise.
-
-    Summed in place on y's block (see antiplane_D for why) and truncated
-    once the geometric majorant
-    power b2^(k+1) / (((m + 2k + 2)^2 - max y^2)(1 - b2)) of the rest drops
-    below tol, so the term count follows the block's largest y^2.
-    """
-    y2 = np.square(y)
-    y2max = float(np.max(y2))
-    if not y2max < m * m:
-        raise ValueError("reflection argument outside the image strip")
-    total = np.zeros_like(y2)
-    term = np.empty_like(y2)
-    for _ in range(_MAX_TERMS):
-        np.subtract(m * m, y2, out=term)
-        np.divide(power, term, out=term)
-        total += term
-        power *= b2
-        m += 2.0
-        if power / ((m * m - y2max) * (1.0 - b2)) < tol:
-            return total
-    raise RuntimeError("series failed to converge")
 
 
 def antiplane_R(x, xi, beta: float, tol: float = 1e-12):
@@ -176,21 +156,20 @@ def antiplane_R(x, xi, beta: float, tol: float = 1e-12):
         2 beta (1 - s) sum_{j>=1} beta^(2j) / ((2j + 1)^2 - (1 - s)^2)
       + 2 beta^2 u sum_{j>=0} beta^(2j) / ((2j + 2)^2 - u^2),
 
-    whose j = 0 term of the second sum is the explicit 2u/(4 - u^2).  Each
-    sum stops at tol/100: unlike D(s) - D(2 - s) the paired terms carry no
-    tail cancellation.  Defined for |1 - s| < 3 and |u| < 2, which holds on
-    the crack square; exactly 0 at beta = 0.
+    whose j = 0 term of the second sum is the explicit 2u/(4 - u^2).  Both
+    are _image_sum series in z = (1 - s)^2 and u^2, and each stops at
+    tol/100: unlike D(s) - D(2 - s) the paired terms carry no tail
+    cancellation.  Defined for |1 - s| < 3 and |u| < 2, which holds on the
+    crack square; +-0 at beta = 0.
     """
     _check_tol(tol)
-    a = 1.0 - (x + xi)
-    if beta == 0.0:
-        return np.zeros_like(a) if np.ndim(a) else 0.0
-    u = x - xi
-    b2 = beta * beta
-    out = _image_sum(a, 3.0, b2, b2, tol / 100.0)
+    a, u = 1.0 - (x + xi), x - xi
+    b2, tol = beta * beta, tol / 100.0
+    out = _image_sum(np.square(a), lambda k: (2.0 * k + 3.0) ** 2, b2, b2, tol)
     out *= a
     out *= 2.0 * beta
-    second = _image_sum(u, 2.0, 1.0, b2, tol / 100.0)
+    second = _image_sum(np.square(u), lambda k: (2.0 * k + 2.0) ** 2, 1.0,
+                        b2, tol)
     second *= u
     second *= 2.0 * b2
     out += second

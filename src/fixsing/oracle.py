@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import graded_rule, kernel_grid, log_cot_half, safe_ratio
+from ._quad import (graded_rule, kernel_grid, log_cot_half, safe_ratio,
+                    values_at)
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
     # graded to 2^-24: a 2^-12 end panel does not resolve a bounded phi
     # that log-oscillates at an end, such as every beta < -1 inverse
     xi, w = graded_rule(rule.nodes, levels=24)
-    phix = np.asarray(phi(xs), dtype=float)
-    phixi = np.asarray(phi(xi), dtype=float)
+    phix = values_at(phi, xs)
+    phixi = values_at(phi, xi)
 
     dmov = np.tan(np.pi * (xi[None, :] - xs[:, None]) / 2.0)
     # the pole entries are zeroed; diff vanishes there
@@ -65,7 +66,7 @@ def apply_K(kernel, phi, x, nodes: int = 512):
     k = getattr(kernel, "regular_part", kernel)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     xi, w = graded_rule(nodes)
-    vals = kernel_grid(k, xs, xi) @ (w * np.asarray(phi(xi), dtype=float))
+    vals = kernel_grid(k, xs, xi) @ (w * values_at(phi, xi))
     return vals if np.ndim(x) else float(vals[0])
 
 
@@ -79,4 +80,4 @@ def full_residual(solution, kernel, F, xs, rule: PVRule | None = None):
     xs = np.asarray(xs, dtype=float)
     vals = apply_S(solution.evaluate, kernel.beta, xs, rule)
     vals = vals + apply_K(kernel, solution.evaluate, xs, rule.nodes)
-    return vals + np.asarray(F(xs), dtype=float) - solution.constant_C
+    return vals + values_at(F, xs) - solution.constant_C

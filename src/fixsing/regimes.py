@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (gauss_jacobi, graded_rule, log_cot_half, log_tan_rule,
-                    safe_ratio)
+from ._quad import (LOG_TAN_SMAX, gauss_jacobi, graded_rule, log_cot_half,
+                    log_tan_rule, safe_ratio, values_at)
 
 #: relative size of int V f below which a load counts as solvable
 SOLVABILITY_RTOL = 1e-6
@@ -167,13 +167,13 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     if kind in (RegimeKind.ZERO, RegimeKind.INSIDE_UNIT):
         n = min(max(nodes // 2, 8), 256)
         total = 0.0
-        for a, b, pref in _jacobi_pairs(regime):
+        for a, b, c in _jacobi_pairs(regime):
             z, w = gauss_jacobi(n, a, b)
-            total += pref * float(np.dot(w, f(np.arccos(z) / np.pi)))
+            total += c * float(np.dot(w, values_at(f, np.arccos(z) / np.pi)))
         return total
     if kind is RegimeKind.PLUS_ONE:
         x, w = graded_rule(nodes)
-        return float(np.dot(w, f(x)))
+        return float(np.dot(w, values_at(f, x)))
     # oscillatory weights: integrate on the log-tangent axis, where the
     # weight is a plain cosine (times e^{+-s} for beta < -1)
     s, xi, w = log_tan_rule(nodes)
@@ -181,7 +181,7 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     if kind is RegimeKind.BELOW_MINUS_ONE:
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
         v = v * np.exp(sgn * s)
-    return float(np.dot(w, v * f(xi)))
+    return float(np.dot(w, v * values_at(f, xi)))
 
 
 def solvability_residual(regime: Regime, f, nodes: int = 256) -> float:
@@ -209,22 +209,31 @@ def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
 
     a slow cosine with sech-decaying measure; subtraction of
     sin(pi x) f(x) removes the moving pole (its compensator integral is
-    zero) and the truncated panel rule converges geometrically.
+    zero) and the truncated panel rule converges geometrically.  At
+    beta > 1 the integrand decays like e^-|s - s_x|, so the window reaches
+    30 past the outermost s_x; at beta < -1 the load sets the decay.
     """
-    s, xi, w = log_tan_rule(nodes)
     sx = np.log(np.tan(np.pi * xs / 2.0))
+    smax = LOG_TAN_SMAX
+    if regime.kind is RegimeKind.ABOVE_ONE:
+        # up to 370: past |s_x| = 340 (x ~ 1e-148) cosh(s_x) cosh(s) overflows
+        reach = 2.0 * math.ceil((np.max(np.abs(sx)) + 30.0) / 2.0)
+        smax = min(max(smax, reach), 370.0)
+    s, xi, w = log_tan_rule(nodes, smax)
     ds = s[None, :] - sx[:, None]
     sinx = np.sin(np.pi * xs)[:, None]
-    h = sinx * np.cos(2.0 * regime.epsilon * ds)
+    # in place: a widened window must not raise the peak memory
+    num = np.cos(2.0 * regime.epsilon * ds)
+    num *= sinx
     if regime.kind is RegimeKind.BELOW_MINUS_ONE:
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
-        h = h * np.exp(sgn * ds)
-    fx = np.asarray(f(xs), dtype=float)
-    num = h * np.asarray(f(xi), dtype=float)[None, :] - sinx * fx[:, None]
+        num *= np.exp(sgn * ds)
+    num *= values_at(f, xi)[None, :]
+    num -= sinx * values_at(f, xs)[:, None]
     # tanh s_x - tanh s = -sinh(ds) / (cosh s_x cosh s); the plain difference
     # (about 4 x^2 ds) loses its digits and safe_ratio masks it for x < 1e-6
     num *= np.cosh(sx)[:, None] * np.cosh(s)[None, :]
-    return -safe_ratio(num, np.sinh(ds)) @ w
+    return -safe_ratio(num, np.sinh(ds, out=ds)) @ w
 
 
 def _inverse_inside_unit(e: float, f, xs, nodes: int):
@@ -243,12 +252,12 @@ def _inverse_inside_unit(e: float, f, xs, nodes: int):
     """
     n = min(max(nodes // 2, 16), 256)
     zeta = np.cos(np.pi * xs)
-    fz = np.asarray(f(xs), dtype=float)
+    fz = values_at(f, xs)
     parts = []
     for sign in (+1.0, -1.0):
         a = (sign * e - 1.0) / 2.0
         h, w = gauss_jacobi(n, a, -1.0 - a)
-        num = np.asarray(f(np.arccos(h) / np.pi), dtype=float)[None, :] - fz[:, None]
+        num = values_at(f, np.arccos(h) / np.pi)[None, :] - fz[:, None]
         parts.append(safe_ratio(num, h[None, :] - zeta[:, None]) @ w)
     t_pow = np.tan(np.pi * xs / 2.0) ** e
     return np.sin(np.pi * xs) / (2.0 * np.pi) * (parts[0] / t_pow
@@ -296,14 +305,12 @@ def _inverse_at_unit_beta(regime: Regime, f, xs, nodes):
     the cot kernel exactly.
     """
     xi, w = graded_rule(nodes)
-    fx = np.asarray(f(xs), dtype=float)
-    fxi = np.asarray(f(xi), dtype=float)
+    fx, fxi = values_at(f, xs), values_at(f, xi)
     moving = np.tan(np.pi * (xi[None, :] - xs[:, None]) / 2.0)
     diff = fxi[None, :] - fx[:, None]
     pv = safe_ratio(diff, moving) @ w + fx * (2.0 / np.pi) * log_cot_half(xs)
-    fixed = np.cos(np.pi * (xi[None, :] + xs[:, None]) / 2.0) / np.sin(
-        np.pi * (xi[None, :] + xs[:, None]) / 2.0
-    )
+    half_sum = np.pi * (xi[None, :] + xs[:, None]) / 2.0
+    fixed = np.cos(half_sum) / np.sin(half_sum)
     sign = -1.0 if regime.kind is RegimeKind.PLUS_ONE else 1.0
     return -0.5 * (pv + sign * (fixed * fxi[None, :]) @ w)
 

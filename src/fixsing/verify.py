@@ -163,12 +163,10 @@ def _parity_product(basis, ja, jb, n: int = 120):
     """
     r = basis.rho1
     total = 0.0
-    pieces = (
-        ((0.5 - r, 3.0 * r - 1.5), ("rho", "rho")),
-        ((r - 0.5, r - 0.5), ("cross", "cross")),
-        ((3.0 * r - 1.5, 0.5 - r), ("conj", "conj")),
-    )
-    for (alpha, beta_w), (kind, _) in pieces:
+    pieces = (((0.5 - r, 3.0 * r - 1.5), "rho"),
+              ((r - 0.5, r - 0.5), "cross"),
+              ((3.0 * r - 1.5, 0.5 - r), "conj"))
+    for (alpha, beta_w), kind in pieces:
         z, w = gauss_jacobi(n, alpha, beta_w)
         s = (1.0 - z) / 2.0
         if kind == "rho":
@@ -265,7 +263,9 @@ def _kernels_checks(nodes):
                       float(np.max(np.abs(got - direct))), 1e-11)
 
     # the paired image sums of antiplane_R against the one-sided form,
-    # with the four D arguments in one call
+    # with the four D arguments in one call: both run kernels._image_sum, so
+    # this checks the pairing algebra; the direct sum above (and mpmath in
+    # the tests) checks the summer
     x, xi = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
     s, u = x + xi, x - xi
     err = 0.0

@@ -174,3 +174,15 @@ def test_routed_solve_reports_diagnostics():
     bare = solve(KernelSpec(beta=0.0, regular_part=ZERO_K), lambda x: x, cfg,
                  diagnostics=False)
     assert "equation_residual_max" not in bare.residual_report
+
+
+def test_scalar_load_is_broadcast():
+    got = cauchy_solve(ZERO_K, lambda x: 1.5, N=6, t1=40, t2=44)
+    want = cauchy_solve(ZERO_K, lambda x: np.full_like(x, 1.5), N=6, t1=40,
+                        t2=44)
+    assert got.b.tobytes() == want.b.tobytes()
+    assert got.constant_C == want.constant_C == pytest.approx(1.5, abs=1e-14)
+    assert np.max(np.abs(got.b)) <= 1e-14
+    xs = np.linspace(0.1, 0.9, 5)
+    assert (cauchy_inverse(lambda x: 1.5, xs).tobytes()
+            == cauchy_inverse(lambda x: np.full_like(x, 1.5), xs).tobytes())

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -355,3 +356,42 @@ def test_package_exports_resolve():
         assert getattr(fixsing, name) is not None, name
     assert not hasattr(fixsing, "CauchySolution")
     assert not hasattr(fixsing, "SeriesSolution")
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _split_numbers(line):
+    """The line with each number replaced by '#', and the numbers."""
+    return _NUMBER.sub("#", line), [float(t) for t in _NUMBER.findall(line)]
+
+
+def test_readme_outputs_match_the_pinned_values(tmp_path):
+    # every number the README commands print stays within 1e-10 relative
+    # (plus 1e-12) of tests/data/readme_outputs.json; for verify the check
+    # names and pass flags are pinned
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        "readme_outputs.json")
+    with open(path, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    commands = _readme_commands()
+    assert sorted(" ".join(args) for args in commands) == sorted(pinned)
+    for i, args in enumerate(commands):
+        out = tmp_path / f"{i}.out"
+        assert main(args + ["--out", str(out)]) == 0, args
+        text = out.read_text(encoding="utf-8")
+        want = pinned[" ".join(args)]
+        if args[0] == "verify":
+            got = [[c["suite"], c["name"], c["passed"]]
+                   for c in json.loads(text)["checks"]]
+            assert got == want
+            continue
+        lines = text.splitlines()
+        assert len(lines) == len(want), args
+        for got_line, want_line in zip(lines, want):
+            got_skel, got_vals = _split_numbers(got_line)
+            want_skel, want_vals = _split_numbers(want_line)
+            assert got_skel == want_skel, (args, got_line, want_line)
+            gap = np.abs(np.subtract(got_vals, want_vals))
+            assert np.all(gap <= 1e-10 * np.abs(want_vals) + 1e-12), (
+                args, got_line, want_line)

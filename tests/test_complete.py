@@ -351,3 +351,20 @@ def test_kernel_matrix_equals_the_unblocked_formula(kern):
     cosmat = np.cos(np.pi * np.outer(np.arange(8), x))
     want = cosmat @ kmat @ pmat.T / scale
     np.testing.assert_array_equal(kernel_matrix(kern, basis, cfg, 7), want)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0], ids=["spectral", "cauchy"])
+def test_scalar_load_is_broadcast(lam):
+    kern = antiplane_kernel(AntiplaneParams(lam=lam))
+    cfg = SolveConfig(N=9, t1=60, t2=64)
+    got = solve(kern, lambda x: 2.5, cfg)
+    want = solve(kern, lambda x: np.full_like(x, 2.5), cfg)
+    assert got.b.tobytes() == want.b.tobytes()
+    assert got.constant_C == want.constant_C
+    assert got.residual_report == want.residual_report
+    # a constant load is balanced by C alone
+    assert np.max(np.abs(got.b)) <= 1e-14
+    assert got.constant_C == pytest.approx(2.5, abs=1e-14)
+    assert (fourier_load_coeffs(lambda x: 2.5, 60, 8).tobytes()
+            == fourier_load_coeffs(lambda x: np.full_like(x, 2.5), 60, 8
+                                   ).tobytes())

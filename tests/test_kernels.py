@@ -456,3 +456,107 @@ def test_series_tolerance_must_be_positive_and_finite(tol):
         antiplane_D(0.5, 0.5, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         antiplane_R(0.3, 0.6, 0.5, tol=tol)
+
+
+# The summation loops the reflection series had before they shared
+# kernels._image_sum, kept verbatim as the reference the helper must
+# reproduce bit for bit (term counts, rounding and failures alike).
+
+def _loop_D(x, beta, tol=1e-12):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= -2.0):
+        raise ValueError("argument must exceed -2")
+    if beta == 0.0:
+        z = np.zeros_like(x)
+        return z if x.ndim else 0.0
+    b2 = beta * beta
+    xmin = float(np.min(x))
+    total = np.zeros_like(x)
+    term = np.empty_like(x)
+    power = 1.0
+    j = 0
+    while True:
+        j += 1
+        power *= b2
+        np.add(x, 2.0 * j, out=term)
+        np.divide(power, term, out=term)
+        total += term
+        if power * b2 / ((xmin + 2.0 * (j + 1)) * (1.0 - b2)) < tol:
+            break
+        if j > 10_000:
+            raise RuntimeError("series failed to converge")
+    return total if x.ndim else float(total)
+
+
+def _loop_image_sum(y, m, power, b2, tol):
+    y2 = np.square(y)
+    y2max = float(np.max(y2))
+    if not y2max < m * m:
+        raise ValueError("reflection argument outside the image strip")
+    total = np.zeros_like(y2)
+    term = np.empty_like(y2)
+    for _ in range(10_000):
+        np.subtract(m * m, y2, out=term)
+        np.divide(power, term, out=term)
+        total += term
+        power *= b2
+        m += 2.0
+        if power / ((m * m - y2max) * (1.0 - b2)) < tol:
+            return total
+    raise RuntimeError("series failed to converge")
+
+
+def _loop_R(x, xi, beta, tol=1e-12):
+    a = 1.0 - (x + xi)
+    if beta == 0.0:
+        return np.zeros_like(a) if np.ndim(a) else 0.0
+    u = x - xi
+    b2 = beta * beta
+    out = _loop_image_sum(a, 3.0, b2, b2, tol / 100.0)
+    out *= a
+    out *= 2.0 * beta
+    second = _loop_image_sum(u, 2.0, 1.0, b2, tol / 100.0)
+    second *= u
+    second *= 2.0 * b2
+    out += second
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except RuntimeError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-14])
+@pytest.mark.parametrize("lam", np.geomspace(4e-4, 2.5e3, 18).tolist())
+def test_shared_image_sum_reproduces_the_summation_loops(lam, tol):
+    beta = AntiplaneParams(lam=lam).beta
+    x, xi = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 11),
+                        indexing="ij")
+    d_args = (np.linspace(0.0, 3.0, 13), beta, tol)
+    assert _outcome(antiplane_D, *d_args) == _outcome(_loop_D, *d_args)
+    r_args = (x, xi, beta, tol)
+    assert _outcome(antiplane_R, *r_args) == _outcome(_loop_R, *r_args)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (antiplane_R, (np.linspace(0.0, 1.0, 40)[:, None],
+                   np.linspace(0.0, 1.0, 42)[None, :])),
+    (antiplane_D, (np.linspace(0.0, 3.0, 40),)),
+], ids=["R", "D"])
+def test_unconverged_image_sum_raises_before_any_array_pass(fn, args,
+                                                           monkeypatch):
+    calls = []
+    divide = np.divide
+
+    def counted(*a, **k):
+        calls.append(1)
+        return divide(*a, **k)
+
+    monkeypatch.setattr(np, "divide", counted)
+    beta = AntiplaneParams(lam=1e4).beta
+    with pytest.raises(RuntimeError, match="converge"):
+        fn(*args, beta)
+    assert len(calls) == 0

@@ -156,3 +156,11 @@ def test_zero_beta_inverse_matches_algebraic_form():
     xs = np.linspace(1.0 / 12.0, 11.0 / 12.0, 11)
     got = inverse_characteristic(reg, f, xs, check_solvability=False)
     np.testing.assert_allclose(got, algebraic_form(f, xs), atol=1e-8)
+
+
+def test_scalar_trial_function_is_broadcast():
+    kern = antiplane_kernel(AntiplaneParams(lam=0.5))
+    xs = np.linspace(0.1, 0.9, 5)
+    got = apply_K(kern, lambda t: 1.0, xs, 64)
+    want = apply_K(kern, lambda t: np.full_like(t, 1.0), xs, 64)
+    assert got.tobytes() == want.tobytes()

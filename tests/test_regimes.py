@@ -302,3 +302,46 @@ def test_oscillatory_inverse_below_minus_one_consistent_up_to_constant():
     got = oracle.apply_S(phi, -2.0, xs, oracle.PVRule(768))
     gap = got - f(xs)
     assert np.ptp(gap) < 1e-6
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.5])
+def test_oscillatory_inverse_vanishes_linearly_close_to_both_ends(beta):
+    # the endpoint exponent is 1 for beta > 1; at x = 1e-12 the pole
+    # s_x = log tan(pi x / 2) = -27 lies 7 inside the default window
+    # |s| <= 34, too close for its e^-|s - s_x| tail
+    reg = classify(beta)
+    f = lambda t: np.cos(np.pi * t)
+    x = np.array([1e-8, 1e-10, 1e-12])
+    near0 = inverse_characteristic(reg, f, x, check_solvability=False)
+    near1 = inverse_characteristic(reg, f, 1.0 - x, check_solvability=False)
+    assert np.all(np.abs(near0) <= 10.0 * x)
+    assert np.all(np.abs(near1) <= 10.0 * x)
+
+
+def test_widened_oscillatory_window_keeps_the_values_inside():
+    reg = classify(2.0)
+    f = lambda t: np.cos(np.pi * t)
+    mid = np.linspace(0.05, 0.95, 19)
+    alone = inverse_characteristic(reg, f, mid, check_solvability=False)
+    widened = inverse_characteristic(reg, f, np.append(mid, 1e-12),
+                                     check_solvability=False)
+    assert np.max(np.abs(widened[:-1] - alone)) < 1e-14
+    # a point too close to an end for the widest window reads nan, alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = inverse_characteristic(reg, f, np.append(mid, 1e-200),
+                                     check_solvability=False)
+    assert np.isnan(far[-1]) and np.all(np.isfinite(far[:-1]))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, -1.0, 2.0, -2.0])
+def test_scalar_load_is_broadcast(beta):
+    reg = classify(beta)
+    xs = np.linspace(0.1, 0.9, 7)
+    const, full = (lambda t: 0.7), (lambda t: np.full_like(t, 0.7))
+    assert (solvability_functional(reg, const)
+            == solvability_functional(reg, full))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = inverse_characteristic(reg, const, xs)
+        want = inverse_characteristic(reg, full, xs)
+    assert got.tobytes() == want.tobytes()
