@@ -21,8 +21,9 @@ from .spectral import (SpectralBasis, build_basis, basis_from_rho1,
 from .complete import (KernelSpec, SolveConfig, Solution, SingularSystemError,
                        fourier_load_coeffs, kernel_matrix, solve)
 from .kernels import (AntiplaneParams, PlaneStrainParams, NoBracketError,
-                      antiplane_D, antiplane_kernel, plane_strain_coeffs,
-                      lambda_fn, gamma0_root, plane_strain_kernel)
+                      ContrastLimitError, antiplane_D, antiplane_kernel,
+                      plane_strain_coeffs, lambda_fn, gamma0_root,
+                      plane_strain_kernel)
 from .cauchy import (CauchyBasis, cauchy_inverse, cauchy_solve,
                      u_weighted_cauchy_transform)
 from .oracle import PVRule, apply_S, apply_K, full_residual
@@ -38,7 +39,8 @@ __all__ = [
     "quadratic_load_constant", "tan_moment_sequence",
     "KernelSpec", "SolveConfig", "Solution", "SingularSystemError",
     "fourier_load_coeffs", "kernel_matrix", "solve",
-    "AntiplaneParams", "PlaneStrainParams", "NoBracketError", "antiplane_D",
+    "AntiplaneParams", "PlaneStrainParams", "NoBracketError",
+    "ContrastLimitError", "antiplane_D",
     "antiplane_kernel", "plane_strain_coeffs", "lambda_fn", "gamma0_root",
     "plane_strain_kernel",
     "CauchyBasis", "cauchy_inverse", "cauchy_solve",

@@ -34,6 +34,10 @@ class NoBracketError(RuntimeError):
     """The exponent function does not change sign on the scanned grid."""
 
 
+class ContrastLimitError(RuntimeError):
+    """The modulus ratio is so extreme that beta rounds to +-1."""
+
+
 def cot_gap(u):
     """1/(pi u) - (1/2) cot(pi u / 2), regular on (-2, 2) with value 0 at 0.
 
@@ -186,6 +190,10 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
     """
     beta = params.beta
     tol = params.series_tol
+    if abs(beta) == 1.0:
+        raise ContrastLimitError(
+            f"modulus ratio {params.lam:g} is too extreme: |beta| -> 1, and "
+            f"(lambda - 1)/(lambda + 1) rounds to {beta:+g}")
 
     def regular_part(x, xi):
         return (cot_gap(xi - x) + beta * fixed_gap(xi + x)

@@ -148,11 +148,14 @@ def build_basis(beta: float, max_degree: int) -> SpectralBasis:
     The pure Cauchy case beta = 0 has its own classical machinery in
     fixsing.cauchy.
     """
-    if not abs(beta) < 1.0 or beta == 0.0:
+    if beta == 0.0:
         raise ValueError(
             "the spectral basis exists for 0 < |beta| < 1; "
             "use the Cauchy-kernel solver for beta = 0"
         )
+    if not abs(beta) < 1.0:
+        raise ValueError(
+            f"the spectral basis exists for 0 < |beta| < 1, not beta = {beta}")
     from .regimes import classify
 
     return basis_from_rho1(classify(beta).rho1, max_degree, beta=beta)

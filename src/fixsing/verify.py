@@ -88,6 +88,16 @@ def _regimes_checks(nodes):
             - regimes.solvability_weight(reg, 1.0 - xs)))))
     yield CheckResult("regimes", "weight-symmetry", err, 1e-12)
 
+    # int V = 2 / cos(pi e / 2) for V = tan^e + cot^e (pi x / 2); the
+    # weight grows like (1 - x)^-e, e -> 1 as beta -> -1
+    err = 0.0
+    for beta in (0.5, -0.5, -0.95, -0.99):
+        reg = regimes.classify(beta)
+        mass = regimes.solvability_functional(reg, np.ones_like, nodes)
+        err = max(err, float(abs(mass / 2.0 * np.cos(
+            np.pi * reg.weight_exponent / 2.0) - 1.0)))
+    yield CheckResult("regimes", "weight-functional-mass", err, 1e-11)
+
     xs = np.array([0.2, 0.5, 0.8])
     err = 0.0
     for beta, f in ((0.5, lambda t: -np.cos(np.pi * t)),

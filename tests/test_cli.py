@@ -196,6 +196,18 @@ def test_nonconvergent_series_is_a_numerical_failure(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["1e16", "1e-17"])
+def test_contrast_that_rounds_beta_to_one_is_a_numerical_failure(lam,
+                                                                 capsys):
+    # (lambda - 1)/(lambda + 1) rounds to +-1: a physical input the solver
+    # cannot take, not a configuration error
+    assert main(["antiplane", "--lambda", lam]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "|beta| -> 1" in err
+    assert "beta = 0" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["plane-strain", "--lambda", "1e-7"],
     ["gamma0", "--lambda-grid", "1e-7"],

@@ -332,6 +332,25 @@ def test_truncation_ladder_evaluates_the_solve_grid_once():
     assert sum(rows) == 2 * t1 + 20
 
 
+def test_cross_check_evaluates_k_phi_on_one_64_row_grid():
+    # the diagnostics' apply_K calls integrate on the graded PV rule; the
+    # five-point equation residual comes first, then the regularization
+    # cross-check, whose weight functional evaluates F + K[phi] once
+    base = antiplane_kernel(AntiplaneParams(lam=0.5))
+    width = len(complete.graded_rule(complete.PV_NODES)[0])
+    rows = []
+
+    def counted(x, xi):
+        if np.shape(xi)[-1] == width:
+            rows.append(np.shape(x)[0])
+        return base.regular_part(x, xi)
+
+    kern = KernelSpec(beta=base.beta, regular_part=counted)
+    sol = solve(kern, lambda x: x, SolveConfig(N=9, t1=60, t2=64))
+    assert "regularization_constant_gap" in sol.residual_report
+    assert rows == [5, 64]
+
+
 @pytest.mark.parametrize("kern", [
     antiplane_kernel(AntiplaneParams(lam=3.0)), _plane_strain(2.0)],
     ids=["antiplane", "plane-strain"])

@@ -90,6 +90,68 @@ def test_functional_of_constant_is_weight_mass():
     assert got == pytest.approx(2.3094011, abs=1e-7)
 
 
+def _functional_reference(beta, f):
+    """int_0^1 V f to 50 digits, from V(d) = V(1 - d) and x = d or 1 - d.
+
+    V(d) grows like d^-e at the end, so d = u^p with p = 1/(1 - e) makes
+    the integrand bounded in u; plain mp.quad on x misses by 4e-3 at
+    beta = -0.95.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(50):
+        e = mpf(classify(beta).weight_exponent)
+        p = 1 / (1 - e)
+
+        def weight(d):
+            if beta == 0.0:
+                return mp.cos(mp.pi * d / 2 - mp.pi / 4) / mp.sqrt(
+                    mp.sin(mp.pi * d))
+            t = mp.tan(mp.pi * d / 2)
+            return t**e + t**-e
+
+        def integrand(u):
+            d = u**p
+            return weight(d) * (f(d) + f(1 - d)) * p * u**(p - 1)
+
+        return float(mp.quad(integrand, [0, mpf(0.5)**(1 - e)]))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, -0.6, 0.9])
+@pytest.mark.parametrize("load", ["x^2", "exp-cos"])
+def test_functional_matches_mpmath(beta, load):
+    from mpmath import cos as mpcos, exp as mpexp
+
+    f, f_mp = {
+        "x^2": (lambda t: t * t, lambda t: t * t),
+        "exp-cos": (lambda t: np.exp(t) * np.cos(3.0 * t),
+                    lambda t: mpexp(t) * mpcos(3 * t)),
+    }[load]
+    want = _functional_reference(beta, f_mp)
+    got = solvability_functional(classify(beta), f)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("beta", [0.5, -0.5, -0.95, 0.99, -0.99])
+def test_functional_mass_closed_form(beta):
+    # int_0^1 (tan^e + cot^e)(pi x/2) dx = 2 / cos(pi e / 2); the weight
+    # blows up like (1 - x)^-e with e -> 1 as beta -> -1
+    reg = classify(beta)
+    want = 2.0 / math.cos(math.pi * reg.weight_exponent / 2.0)
+    got = solvability_functional(reg, np.ones_like)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_zero_beta_weight_is_half_the_tan_cot_sum():
+    # the functional treats V at beta = 0 as (tan^e + cot^e)/2 with e = 1/2
+    x = np.linspace(0.01, 0.99, 99)
+    t = np.tan(np.pi * x / 2.0)
+    half_sum = 0.5 * (np.sqrt(t) + 1.0 / np.sqrt(t))
+    assert classify(0.0).weight_exponent == 0.5
+    np.testing.assert_allclose(solvability_weight(classify(0.0), x),
+                               half_sum, rtol=1e-15, atol=0)
+
+
 def test_functional_detects_constructed_orthogonal_load():
     # cos(2 pi x) shifted by its own weighted mean is orthogonal to V
     reg = classify(0.5)

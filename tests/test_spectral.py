@@ -27,6 +27,15 @@ def test_build_basis_rejects_degenerate_beta():
             build_basis(beta, 4)
 
 
+def test_build_basis_names_the_rejected_side():
+    with pytest.raises(ValueError, match="Cauchy-kernel solver"):
+        build_basis(0.0, 4)
+    for beta in (1.0, -1.0, 1.5):
+        with pytest.raises(ValueError, match=f"not beta = {beta}") as info:
+            build_basis(beta, 4)
+        assert "Cauchy" not in str(info.value)
+
+
 def test_build_basis_warns_beyond_stable_degree():
     with pytest.warns(UserWarning, match="unstable"):
         build_basis(0.5, 28)
