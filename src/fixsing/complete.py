@@ -31,7 +31,6 @@ kernel moments use an endpoint-graded rule in xi (see kernel_matrix).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -213,7 +212,7 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     and one cosine row, so the matrix stays square.
     """
     if basis.max_degree < n_max:
-        raise ValueError("basis table too small for requested moments")
+        raise ValueError("basis degree too small for requested moments")
     x = _midpoints(config.t1)
     xi, w = _xi_rule(kernel, config.t2)
     scale = config.t1 if w is not None else config.t1 * config.t2
@@ -309,12 +308,6 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
     a = k[1:, :n_unknowns].copy()
     a[np.arange(rows), np.arange(rows)] -= 0.5
     coeffs, cond, linear = dense_solve(a, f)
-    if config.N > 25:
-        warnings.warn(
-            f"truncation order {config.N} is beyond the stable range; "
-            f"condition number {cond:.2e}",
-            stacklevel=3,
-        )
 
     n_coeffs = np.array([N_coeff(basis, j + 1) for j in range(rows)]
                         + [0.0] * len(extra))

@@ -14,109 +14,85 @@ algebraic system (see fixsing.complete).
 
 Concretely
 
-    phi_j(x) = (1-S)^rho1 S^(1-rho1) q_j(S; rho1)
-             + (1-S)^(1-rho1) S^rho1 q_j(S; 1-rho1),   S = sin^2(pi x / 2),
+    phi_j(x) = c^rho1 S^(1-rho1) q_j(zeta; rho1)
+             + c^(1-rho1) S^rho1 q_j(zeta; 1-rho1),
 
-where q_j(S; alpha) = sum_nu c_{j nu}(alpha) S^nu and the coefficients come
-from a terminating double sum of Pochhammer products.  A row of c does not
-depend on the table size, so one read-only table per exponent, at least
-STABLE_DEGREE deep, is built and cached, and every basis of that exponent
-holds views of its leading block; evaluation is Horner in S.
+with S = sin^2(pi x / 2), c = 1 - S = sin^2(pi (1-x) / 2) (formed as a
+sine, so the weights keep their digits near x = 1) and zeta = cos(pi x).
+q_j is a Chebyshev-U series of the tan-moments p_k of tan_moment_sequence,
+
+    q_j(zeta; alpha) = -(1/sin pi alpha) [p_0 U_j(zeta)
+                                          + 2 sum_{k=1..j} p_k U_{j-k}(zeta)]
+
+(Mason & Handscomb, Chebyshev Polynomials, 2003, ch. 9), the same moment
+sequence that gives N_j.  It sums to rounding at any degree, since
+|U_k| <= k + 1 on [-1, 1]; the same q_j written as a polynomial in S has
+coefficients c_{j nu} that reach 3.7e18 at j = 25 and cancel that many
+digits.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .specfun import chebyshev_T
 
-#: phi_j loses digits with j to cancellation in the monomial tables:
-#: |c_{j nu}| grows geometrically (3.3e12 at j = 17 for rho1 = 0.8) while
-#: phi_j stays of order 1, so Horner in S cancels about log10 max|c_{j nu}|
-#: digits; at this degree (3.7e18) none are left
-STABLE_DEGREE = 25
 
+def _q_rows(alpha: float, degree: int, zeta) -> np.ndarray:
+    """q_0(zeta; alpha) .. q_degree(zeta; alpha) stacked along axis 0.
 
-@lru_cache(maxsize=128)
-def _coeff_table(alpha: float, max_degree: int) -> np.ndarray:
-    """Coefficients c[j, nu] of q_j(S; alpha) for 0 <= nu <= j <= max_degree.
-
-    c_{j nu} = (2 sin pi alpha)^-1 *
-               sum_{m=nu+1}^{j+1} (-j-1)_m (j+1)_m (alpha)_{m-1-nu}
-                                  / [ (1/2)_m m! (m-1-nu)! ]
+    U's recurrence turns the series into Q_j = 2 zeta Q_{j-1} - Q_{j-2}
+    + 2 p_j with Q_0 = p_0 = 1 and Q_{-1} = 0, so a row does not depend on
+    degree, bit for bit; q = -Q / sin(pi alpha).
     """
-    jmax = max_degree
-    c = np.zeros((jmax + 1, jmax + 1))
-    # (alpha)_k / k!
-    b = np.ones(jmax + 2)
-    for k in range(1, jmax + 2):
-        b[k] = b[k - 1] * (alpha + k - 1.0) / k
-    pref = 1.0 / (2.0 * math.sin(math.pi * alpha))
-    for j in range(jmax + 1):
-        # a[m] = (-j-1)_m (j+1)_m / ((1/2)_m m!)
-        a = np.ones(j + 2)
-        for m in range(1, j + 2):
-            a[m] = (a[m - 1] * (-j - 1.0 + m - 1.0) * (j + 1.0 + m - 1.0)
-                    / ((0.5 + m - 1.0) * m))
-        for nu in range(j + 1):
-            ms = np.arange(nu + 1, j + 2)
-            c[j, nu] = pref * float(np.dot(a[ms], b[ms - 1 - nu]))
-    c.flags.writeable = False
-    return c
-
-
-def _coeff_rows(alpha: float, degree: int) -> np.ndarray:
-    """Read-only view c[:degree+1, :degree+1] of the exponent's shared table."""
-    return _coeff_table(alpha, max(degree, STABLE_DEGREE))[:degree + 1,
-                                                            :degree + 1]
-
-
-def _horner(coeffs_row: np.ndarray, degree: int, s: np.ndarray) -> np.ndarray:
-    out = np.full_like(s, coeffs_row[degree])
-    for nu in range(degree - 1, -1, -1):
-        out = out * s + coeffs_row[nu]
-    return out
+    p = _moment_table(alpha, degree)
+    q = np.empty((degree + 1,) + np.shape(zeta))
+    q[0] = 1.0
+    if degree:
+        q[1] = 2.0 * zeta + 2.0 * p[1]
+    for j in range(2, degree + 1):
+        q[j] = 2.0 * zeta * q[j - 1] - q[j - 2] + 2.0 * p[j]
+    return q / -math.sin(math.pi * alpha)
 
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Cached coefficient tables and evaluators for the phi_j family.
+    """The phi_j family for one rho1, j <= max_degree.
 
-    Immutable after construction; safe to share across threads.
+    Evaluates the U-series of the tan-moments on demand; holds no table of
+    its own.  Immutable; safe to share across threads.
     """
 
     beta: float
     rho1: float
     max_degree: int
-    _c_rho: np.ndarray = field(repr=False)
-    _c_conj: np.ndarray = field(repr=False)
 
     def phi(self, j: int, x):
         """phi_j(x); exactly zero at x = 0 and x = 1."""
         if not 0 <= j <= self.max_degree:
-            raise ValueError(f"degree {j} outside table (max {self.max_degree})")
+            raise ValueError(
+                f"degree {j} outside the basis (max {self.max_degree})")
         x = np.asarray(x, dtype=float)
-        out = self._rows(x, [j])[0]
+        out = self._rows(x, j)[j]
         return out if x.ndim else float(out)
 
     def phi_matrix(self, x) -> np.ndarray:
         """Stacked values phi_j(x) for all j <= max_degree; shape (J+1, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.vstack(self._rows(x, range(self.max_degree + 1)))
+        return self._rows(x, self.max_degree)
 
-    def _rows(self, x, degrees):
-        """phi_j(x) for each j in degrees, the one evaluator of the family."""
+    def _rows(self, x, degree: int) -> np.ndarray:
+        """phi_0 .. phi_degree at x, the one evaluator of the family."""
         s = np.sin(np.pi * x / 2.0) ** 2
+        c = np.sin(np.pi * (1.0 - x) / 2.0) ** 2
+        zeta = np.cos(np.pi * x)
         r = self.rho1
-        w1 = (1.0 - s) ** r * s ** (1.0 - r)
-        w2 = (1.0 - s) ** (1.0 - r) * s ** r
-        return [w1 * _horner(self._c_rho[j], j, s)
-                + w2 * _horner(self._c_conj[j], j, s) for j in degrees]
+        return (c ** r * s ** (1.0 - r) * _q_rows(r, degree, zeta)
+                + c ** (1.0 - r) * s ** r * _q_rows(1.0 - r, degree, zeta))
 
 
 def basis_from_rho1(rho1: float, max_degree: int, beta: float = float("nan")
@@ -128,18 +104,7 @@ def basis_from_rho1(rho1: float, max_degree: int, beta: float = float("nan")
     """
     if not 0.5 < rho1 < 1.0:
         raise ValueError("rho1 must lie in (1/2, 1)")
-    if max_degree > STABLE_DEGREE:
-        warnings.warn(
-            f"basis degrees beyond {STABLE_DEGREE} are numerically unstable",
-            stacklevel=2,
-        )
-    return SpectralBasis(
-        beta=beta,
-        rho1=rho1,
-        max_degree=max_degree,
-        _c_rho=_coeff_rows(rho1, max_degree),
-        _c_conj=_coeff_rows(1.0 - rho1, max_degree),
-    )
+    return SpectralBasis(beta=beta, rho1=rho1, max_degree=max_degree)
 
 
 def build_basis(beta: float, max_degree: int) -> SpectralBasis:
@@ -174,13 +139,20 @@ def N_coeff(basis: SpectralBasis, j: int) -> float:
         raise ValueError("index must be nonnegative")
     if j % 2 == 1:
         return 0.0
-    # cached tables end at a power of two, at least 64 and at least j + 1
-    return float(_moments(basis.rho1, max(64, 1 << int(j).bit_length()))[j])
+    return float(_moment_table(basis.rho1, j)[j])
+
+
+def _moment_table(alpha: float, k: int) -> np.ndarray:
+    """Cached tan-moments of alpha through at least index k."""
+    # cached tables end at a power of two, at least 64 and at least k + 1
+    return _moments(alpha, max(64, 1 << int(k).bit_length()))
 
 
 @lru_cache(maxsize=64)
-def _moments(rho1: float, kmax: int) -> np.ndarray:
-    return tan_moment_sequence(rho1, kmax)
+def _moments(alpha: float, kmax: int) -> np.ndarray:
+    p = tan_moment_sequence(alpha, kmax)
+    p.flags.writeable = False
+    return p
 
 
 def M_coeff(basis: SpectralBasis, j: int) -> float:
@@ -237,7 +209,7 @@ def characteristic_series_solve(basis: SpectralBasis, fourier_coeffs,
 
     f = np.asarray(fourier_coeffs, dtype=float)
     if m0 > basis.max_degree:
-        raise ValueError("truncation exceeds the basis table")
+        raise ValueError("truncation exceeds the basis degree")
     if len(f) < m0 + 2:
         raise ValueError("need cosine coefficients up to order m0 + 1")
     coeffs = 2.0 * f[1:m0 + 2]
@@ -253,9 +225,8 @@ def J_integral(alpha: float, j: int, zeta) -> float:
     J_j(zeta) = cot(pi alpha) (1-zeta)^(alpha-1) (1+zeta)^(-alpha) T_j(zeta)
                 - q_{j-1}(zeta; alpha),
 
-    where q_{-1} = 0 and q is the same polynomial family as the basis,
-    written in t = (1 - zeta)/2.  Used as a test target against
-    principal-value quadrature of the defining integral.
+    where q_{-1} = 0 and q is the U-series of the basis.  Used as a test
+    target against principal-value quadrature of the defining integral.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -267,7 +238,5 @@ def J_integral(alpha: float, j: int, zeta) -> float:
             * chebyshev_T(j, zeta))
     if j == 0:
         return lead if zeta.ndim else float(lead)
-    t = (1.0 - zeta) / 2.0
-    tail = _horner(_coeff_rows(alpha, j - 1)[j - 1], j - 1, t)
-    out = lead - tail
+    out = lead - _q_rows(alpha, j - 1, zeta)[j - 1]
     return out if zeta.ndim else float(out)

@@ -178,22 +178,17 @@ def _parity_product(basis, ja, jb, n: int = 120):
               ((3.0 * r - 1.5, 0.5 - r), "conj"))
     for (alpha, beta_w), kind in pieces:
         z, w = gauss_jacobi(n, alpha, beta_w)
-        s = (1.0 - z) / 2.0
+        # z = cos(pi x) is the argument of the U-series
+        q = spectral._q_rows(r, max(ja, jb), z)
+        qc = spectral._q_rows(1.0 - r, max(ja, jb), z)
         if kind == "rho":
-            poly = _q_eval(basis, ja, s, True) * _q_eval(basis, jb, s, True)
+            poly = q[ja] * q[jb]
         elif kind == "conj":
-            poly = _q_eval(basis, ja, s, False) * _q_eval(basis, jb, s, False)
+            poly = qc[ja] * qc[jb]
         else:
-            poly = (_q_eval(basis, ja, s, True) * _q_eval(basis, jb, s, False)
-                    + _q_eval(basis, ja, s, False) * _q_eval(basis, jb, s, True))
+            poly = q[ja] * qc[jb] + qc[ja] * q[jb]
         total += float(np.dot(w, poly))
     return total / (4.0 * np.pi)
-
-
-def _q_eval(basis, j, s, first: bool):
-    from .spectral import _horner
-    table = basis._c_rho if first else basis._c_conj
-    return _horner(table[j], j, s)
 
 
 def _cauchy_checks(nodes):

@@ -1,6 +1,8 @@
 """Galerkin solver for the complete equation: assembly, truncation,
 reference tables and structural identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -179,13 +181,6 @@ def test_singular_system_detection(monkeypatch):
               diagnostics=False)
 
 
-def test_unstable_truncation_warns():
-    kern = antiplane_kernel(AntiplaneParams(lam=0.5))
-    with pytest.warns(UserWarning, match="stable range"):
-        solve(kern, lambda x: x, SolveConfig(N=26, t1=200, t2=210),
-              diagnostics=False)
-
-
 def test_diagnostics_report():
     kern = antiplane_kernel(AntiplaneParams(lam=0.5))
     sol = solve(kern, lambda x: x, SolveConfig(N=10, t1=100, t2=110))
@@ -202,6 +197,22 @@ def _plane_strain(lam):
     params = plane_strain_coeffs(lam, 1.0, 0.3, 0.3)
     gamma0_root(params)
     return plane_strain_kernel(params)
+
+
+@pytest.mark.parametrize("kind,lam", [("antiplane", 0.5),
+                                      ("antiplane", 100.0),
+                                      ("plane-strain", 2.0)])
+def test_linear_load_constant_is_exact_to_N41(kind, lam):
+    # C = 1/2 for F = x at every truncation, without a warning or a
+    # singular system
+    kern = (antiplane_kernel(AntiplaneParams(lam=lam))
+            if kind == "antiplane" else _plane_strain(lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (17, 25, 33, 41):
+            sol = solve(kern, lambda x: x, SolveConfig(N=n, t1=200, t2=210),
+                        diagnostics=False)
+            assert sol.constant_C == pytest.approx(0.5, abs=1e-12), n
 
 
 def test_corner_functions_parity_and_endpoint_power():

@@ -2,14 +2,17 @@
 characteristic equation."""
 
 import math
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
-from fixsing.spectral import (J_integral, M_coeff, N_coeff, basis_from_rho1,
-                              build_basis, characteristic_series_solve,
+from fixsing.spectral import (J_integral, M_coeff, N_coeff, _q_rows,
+                              basis_from_rho1, build_basis,
+                              characteristic_series_solve,
                               quadratic_load_constant, tan_moment_sequence)
-from fixsing.specfun import chebyshev_T, hyp3F2_terminating
+from fixsing.specfun import hyp3F2_terminating
 from fixsing.regimes import classify, solvability_functional
 from fixsing import oracle
 
@@ -36,35 +39,104 @@ def test_build_basis_names_the_rejected_side():
         assert "Cauchy" not in str(info.value)
 
 
-def test_build_basis_warns_beyond_stable_degree():
-    with pytest.warns(UserWarning, match="unstable"):
-        build_basis(0.5, 28)
+@lru_cache(maxsize=None)
+def _mp_monomial_table(alpha, jmax):
+    """Monomial coefficients c[j][nu] of q_j(S; alpha) in 50-digit mpmath.
+
+    c_{j nu} = (2 sin pi alpha)^-1 *
+               sum_{m=nu+1}^{j+1} (-j-1)_m (j+1)_m (alpha)_{m-1-nu}
+                                  / [ (1/2)_m m! (m-1-nu)! ],
+
+    the double Pochhammer sum.  Evaluated in S it cancels about
+    log10 max|c| digits, up to 37 at j = 48, of the 50 carried.
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        b = [mpmath.mpf(1)]          # (alpha)_k / k!
+        for k in range(1, jmax + 2):
+            b.append(b[-1] * (a + k - 1) / k)
+        pref = 1 / (2 * mpmath.sin(mpmath.pi * a))
+        table = []
+        for j in range(jmax + 1):
+            p = [mpmath.mpf(1)]      # (-j-1)_m (j+1)_m / ((1/2)_m m!)
+            for m in range(1, j + 2):
+                p.append(p[-1] * (m - j - 2) * (j + m)
+                         / ((m - mpmath.mpf(1) / 2) * m))
+            table.append([pref * mpmath.fdot(p[nu + 1:j + 2], b[:j + 1 - nu])
+                          for nu in range(j + 1)])
+    return table
+
+
+def _mp_phi(rho1, jmax, x):
+    """phi_0 .. phi_jmax at float x from the monomial tables, in mpmath."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(rho1)
+        s = mpmath.sin(mpmath.pi * mpmath.mpf(x) / 2) ** 2
+        c = 1 - s
+
+        def q(table):
+            out = []
+            for row in table:
+                acc = mpmath.mpf(0)
+                for coeff in reversed(row):
+                    acc = acc * s + coeff
+                out.append(acc)
+            return out
+
+        w1, w2 = c ** r * s ** (1 - r), c ** (1 - r) * s ** r
+        return [float(w1 * u + w2 * v) for u, v in
+                zip(q(_mp_monomial_table(rho1, jmax)),
+                    q(_mp_monomial_table(1.0 - rho1, jmax)))]
 
 
 def test_leading_coefficient_closed_form():
-    # q_0 is the single coefficient -1 / sin(pi alpha)
+    # q_0 is the single coefficient -1 / sin(pi alpha), in the monomial
+    # table and from the U-series at any zeta
+    zeta = np.linspace(-1.0, 1.0, 5)
     for rho1 in (2.0 / 3.0, 0.55, 0.9):
-        basis = basis_from_rho1(rho1, 2)
-        assert basis._c_rho[0, 0] == pytest.approx(
-            -1.0 / math.sin(math.pi * rho1), rel=1e-13)
-        assert basis._c_conj[0, 0] == pytest.approx(
-            -1.0 / math.sin(math.pi * (1.0 - rho1)), rel=1e-13)
+        for alpha in (rho1, 1.0 - rho1):
+            want = -1.0 / math.sin(math.pi * alpha)
+            assert float(_mp_monomial_table(alpha, 0)[0][0]) == pytest.approx(
+                want, rel=1e-15)
+            np.testing.assert_allclose(_q_rows(alpha, 0, zeta)[0], want,
+                                       rtol=1e-15)
     basis = build_basis(0.5, 2)
-    assert basis._c_rho[0, 0] == pytest.approx(-2.0 / math.sqrt(3.0),
-                                               rel=1e-13)
+    assert _q_rows(basis.rho1, 0, 0.3)[0] == pytest.approx(
+        -2.0 / math.sqrt(3.0), rel=1e-13)
 
 
 def test_top_coefficient_is_single_term():
+    # c_jj = (-j-1)_{j+1} (j+1)_{j+1} / ((1/2)_{j+1} (j+1)!) / (2 sin pi a)
+    # = -(-4)^j / sin(pi a), which is (-2)^j times the leading coefficient
+    # in zeta = 1 - 2S of the U-series, read at a large zeta
     from fixsing.specfun import pochhammer
-    basis = build_basis(0.5, 6)
-    alpha = basis.rho1
+    alpha = build_basis(0.5, 6).rho1
+    table = _mp_monomial_table(alpha, 6)
+    zeta = 1e8
+    q = _q_rows(alpha, 6, zeta)
     for j in range(7):
         m = j + 1
         term = (pochhammer(-j - 1.0, m) * pochhammer(j + 1.0, m)
                 * pochhammer(alpha, 0)
                 / (pochhammer(0.5, m) * math.factorial(m)))
         want = term / (2.0 * math.sin(math.pi * alpha))
-        assert basis._c_rho[j, j] == pytest.approx(want, rel=1e-10)
+        assert float(table[j][j]) == pytest.approx(want, rel=1e-13)
+        assert want == pytest.approx(
+            -(-4.0) ** j / math.sin(math.pi * alpha), rel=1e-13)
+        assert (-2.0) ** j * q[j] / zeta ** j == pytest.approx(want,
+                                                               rel=1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.05, -0.05, 0.5, -0.5, 0.95, -0.95])
+def test_phi_matches_the_monomial_reference_to_degree_48(beta):
+    # the basis against a 50-digit evaluation of the monomial tables, at
+    # points within 1e-9 of both ends
+    basis = build_basis(beta, 48)
+    xs = np.array([1e-9, 1e-5, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9,
+                   1.0 - 1e-5, 1.0 - 1e-9])
+    want = np.array([_mp_phi(basis.rho1, 48, x) for x in xs]).T
+    np.testing.assert_allclose(basis.phi_matrix(xs), want, rtol=0,
+                               atol=1e-12)
 
 
 def test_phi_vanishes_exactly_at_endpoints():
@@ -163,6 +235,18 @@ def test_spectral_relation_via_forward_operator(beta):
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
+@pytest.mark.parametrize("beta", [0.5, -0.5, 0.95, -0.95])
+def test_spectral_relation_to_degree_40(beta):
+    basis = build_basis(beta, 40)
+    xs = np.linspace(1.0, 21.0, 21) / 22.0
+    rule = oracle.PVRule(2048)
+    for j in range(41):
+        got = oracle.apply_S(lambda t, j=j: basis.phi(j, t), beta, xs, rule)
+        want = N_coeff(basis, j + 1) - np.cos((j + 1) * np.pi * xs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10,
+                                   err_msg=f"j = {j}")
+
+
 def test_series_solution_constant_for_linear_load():
     f = linear_load_coeffs(22)
     for beta in (0.25, 0.5, 0.75):
@@ -259,15 +343,30 @@ def test_J_integral_domain():
 
 
 def _pv_weighted_transform(alpha, j, zeta):
-    # independent principal-value oracle: subtraction at the pole and
-    # tanh-sinh quadrature for the endpoint-singular weight
-    from mpmath import mp, mpf, quad as mpquad, log
+    # independent principal-value oracle: subtraction at the pole, split
+    # there, and on each side a map that absorbs the weight's end power,
+    # 1 + e = (1 + z) u^(1/(1-a)) on [-1, z] and 1 - e = (1 - z) v^(1/a)
+    # on [z, 1]; tanh-sinh quadrature then converges to rounding
+    from mpmath import mp, mpf, quad as mpquad, log, chebyt
 
     mp.dps = 25
     a, z = mpf(alpha), mpf(zeta)
-    h = lambda e: (1 - e) ** (a - 1) * (1 + e) ** (-a) * chebyshev_T(j, float(e))
-    hz = h(z)
-    val = mpquad(lambda e: (h(e) - hz) / (e - z), [-1, z, 1])
+    # h and the difference quotient from 1 + e and 1 - e, which keep their
+    # digits at the ends
+    h = lambda p, m: m ** (a - 1) * p ** (-a) * chebyt(j, p - 1)
+    hz = h(1 + z, 1 - z)
+    g = lambda p, m: (h(p, m) - hz) / (p - 1 - z)
+    ml, mr = 1 / (1 - a), 1 / a
+
+    def left(u):
+        p = (1 + z) * u ** ml
+        return g(p, 2 - p) * (1 + z) * ml * u ** (ml - 1)
+
+    def right(v):
+        m = (1 - z) * v ** mr
+        return g(2 - m, m) * (1 - z) * mr * v ** (mr - 1)
+
+    val = mpquad(left, [0, 1]) + mpquad(right, [0, 1])
     return float((val + hz * log((1 - z) / (1 + z))) / mp.pi)
 
 
@@ -276,10 +375,13 @@ def _pv_weighted_transform(alpha, j, zeta):
     (0.4, 1, -0.2),
     (0.25, 4, 0.55),
     (0.55, 3, 0.0),
+    (0.8, 16, 0.1),
+    (0.2, 20, 0.7),
+    (0.6, 30, -0.2),
 ])
 def test_J_integral_matches_pv_quadrature(alpha, j, zeta):
     assert J_integral(alpha, j, zeta) == pytest.approx(
-        _pv_weighted_transform(alpha, j, zeta), abs=1e-6)
+        _pv_weighted_transform(alpha, j, zeta), abs=1e-9)
 
 
 def test_phi_equals_phi_matrix_rows_bit_for_bit():
@@ -301,12 +403,7 @@ def test_series_solution_is_a_complete_solution():
     assert len(sol.corner_coeffs) == 0
 
 
-def test_basis_tables_are_read_only_views_of_one_table_per_exponent():
+def test_phi_matrix_rows_do_not_depend_on_the_degree():
     small, large = build_basis(0.5, 8), build_basis(0.5, 20)
-    for a, b in ((small._c_rho, large._c_rho), (small._c_conj, large._c_conj)):
-        assert a.shape == (9, 9)
-        assert np.array_equal(a, b[:9, :9])
-        assert np.shares_memory(a, b)
-        assert not a.flags.writeable and not b.flags.writeable
     x = np.linspace(0.0, 1.0, 41)
     assert np.array_equal(small.phi_matrix(x), large.phi_matrix(x)[:9])
