@@ -193,9 +193,7 @@ def kernel_grid(k, x, xi) -> np.ndarray:
     """k(x[:, None], xi[None, :]) as a float (len(x), len(xi)) array.
 
     The grid is filled in row blocks of about _GRID_BLOCK elements, so k
-    must act elementwise; a kernel that adapts its work to the block it is
-    given has to meet its tolerance on every block (in the package:
-    kernels._image_sum, sized by the block's largest argument).
+    must act elementwise.
     """
     out = np.empty((len(x), len(xi)))
     rows = max(1, _GRID_BLOCK // len(xi))

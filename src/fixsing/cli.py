@@ -340,8 +340,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # NoBracketError, complete.SingularSystemError (either route), a
-        # series that does not converge, and kernels.ContrastLimitError
+        # NoBracketError, complete.SingularSystemError (either route) and
+        # kernels.ContrastLimitError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

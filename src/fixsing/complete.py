@@ -66,14 +66,12 @@ class KernelSpec:
     regular_part(x, xi) must accept broadcastable arrays and return finite
     values on the open square and the diagonal; corner growth (toward
     xi = x = 0 and xi = x = 1) is allowed since quadrature nodes are
-    interior midpoints.  Grids are filled in row blocks, so work adapted to
-    a block (only kernels._image_sum) must meet its tolerance on each.  It
-    must be a pure function of (x, xi): solve caches the grid of one spec,
-    keyed by the spec itself, and reuses it for every truncation order
-    (see _kernel_grid).  homogeneous_corners marks a regular part that is
-    homogeneous of degree -1 at both corners; solve then adds the corner
-    trial functions.  The kernel factories of fixsing.kernels build one;
-    so can any caller with its own kernel.
+    interior midpoints.  It must be a pure function of (x, xi): solve caches
+    the grid of one spec, keyed by the spec itself, and reuses it for every
+    truncation order (see _kernel_grid).  homogeneous_corners marks a regular
+    part that is homogeneous of degree -1 at both corners; solve then adds
+    the corner trial functions.  The kernel factories of fixsing.kernels
+    build one; so can any caller with its own kernel.
     """
 
     beta: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,104 +79,124 @@ def fixed_gap(v):
     return out if v.ndim else float(out)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("series tolerance must be positive and finite")
-
-
 @dataclass(frozen=True)
 class AntiplaneParams:
     """Shear-modulus ratio lambda = G1/G2 of half-planes to strip."""
 
     lam: float
-    series_tol: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("modulus ratio must be positive and finite")
-        _check_tol(self.series_tol)
 
     @property
     def beta(self) -> float:
         return (self.lam - 1.0) / (self.lam + 1.0)
 
 
-#: terms an image series may sum; reached as beta^2 -> 1 (lambda outside
-#: about [5e-4, 2e3] in antiplane_R) and reported by the CLI as exit 3
+#: terms antiplane_D may sum; reached as beta^2 -> 1
 _MAX_TERMS = 10_000
-
-
-def _image_sum(z, den, power: float, b2: float, tol: float):
-    """sum_{k>=0} power b2^k / (den(k) - z) elementwise, for max z < den(0).
-
-    den(k) grows with k.  Before any pass over z the term count K is set
-    from the block's largest z, as the least K whose geometric majorant
-    power b2^K / ((den(K) - max z)(1 - b2)) of the rest is below tol; a K
-    above _MAX_TERMS raises at once.  The passes run in place: a kernel
-    grid (~330 KB) is above glibc's mmap threshold, so a fresh temporary
-    per term would be faulted in anew (~80k page faults per solve).
-    """
-    zmax = float(np.max(z))
-    if not zmax < den(0):
-        raise ValueError("image-series argument outside the strip")
-    bound = power
-    for count in range(1, _MAX_TERMS + 1):
-        bound *= b2
-        if bound / ((den(count) - zmax) * (1.0 - b2)) < tol:
-            break
-    else:
-        raise RuntimeError("series failed to converge")
-    total = np.zeros_like(z)
-    term = np.empty_like(z)
-    for k in range(count):
-        np.subtract(den(k), z, out=term)
-        np.divide(power, term, out=term)
-        total += term
-        power *= b2
-    return total
 
 
 def antiplane_D(x, beta: float, tol: float = 1e-12):
     """One-sided image series D(x) = sum_{j>=1} beta^(2j) / (x + 2j), x > -2.
 
-    The reflection part antiplane_R pairs these series instead of calling
-    this one; it stays as the reference form that verify checks R against.
-    Summed by _image_sum with z = -x, so the term count follows min(x).
+    The reference verify checks antiplane_R against.  A geometric tail
+    bound sets the count from min(x) before any pass, raising past _MAX_TERMS.
     """
-    _check_tol(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("series tolerance must be positive and finite")
     x = np.asarray(x, dtype=float)
-    b2 = beta * beta
-    total = _image_sum(-x, lambda k: 2.0 * k + 2.0, b2, b2, tol)
+    xmin, b2 = float(np.min(x)), beta * beta
+    if not xmin > -2.0:
+        raise ValueError("image-series argument outside the strip")
+    bound = b2
+    for count in range(1, _MAX_TERMS + 1):
+        bound *= b2
+        if bound / ((2.0 * count + 2.0 + xmin) * (1.0 - b2)) < tol:
+            break
+    else:
+        raise RuntimeError("series failed to converge")
+    total, term, power = np.zeros_like(x), np.empty_like(x), b2
+    for k in range(count):
+        np.add(x, 2.0 * k + 2.0, out=term)
+        np.divide(power, term, out=term)
+        total += term
+        power *= b2
     return total if x.ndim else float(total)
 
 
-def antiplane_R(x, xi, beta: float, tol: float = 1e-12):
+#: Horner length of antiplane_R's series, whose ratios on the crack square
+#: are at most 1/9 and 1/16: the tail is below 9^-16 ~ 5e-16 at any beta
+_POWER_TERMS = 16
+#: cap on the coefficient sums, whose m >= 1 terms fall like (2j)^-4 at any
+#: beta (tail below (2e5)^-3/6 ~ 2e-17), and their chunk length
+_COEFF_TERMS, _COEFF_CHUNK = 100_000, 4096
+
+
+def _dilog(z: float) -> float:
+    """Li_2(z) = sum_{k>=1} z^k / k^2, 0 <= z < 1: 60 terms up to z = 1/2,
+    then Li_2(z) = pi^2/6 - ln(z) ln(1 - z) - Li_2(1 - z) (DLMF 25.12.6)."""
+    if z > 0.5:
+        return math.pi**2 / 6 - math.log(z) * math.log(1 - z) - _dilog(1 - z)
+    return math.fsum(z**k / (k * k) for k in range(1, 61))
+
+
+@lru_cache(maxsize=64)
+def _reflection_rows(beta: float) -> np.ndarray:
+    """Read-only rows c_m, c'_m (m < _POWER_TERMS) of antiplane_R, summed
+    to the smaller of the geometric tail count and _COEFF_TERMS.  For
+    beta^2 > 1/2 the m = 0 pair, whose terms fall only like (2j)^-2, comes
+    from Li_2 with b = |beta| (DLMF 25.12; Lewin, Polylogarithms, 1981):
+    c_0 = (Li_2(b) - Li_2(b^2)/4)/b - 1, c'_0 = (Li_2(b^2)/b^2 - 1)/4."""
+    b = abs(beta)
+    b2, rows = b * b, np.zeros((2, _POWER_TERMS))
+    terms = (min(_COEFF_TERMS, math.ceil(math.log(1e-17 * (1.0 - b2))
+                                         / math.log(b2))) if b2 else 0)
+    for start in range(1, terms + 1, _COEFF_CHUNK):
+        j = np.arange(start, min(start + _COEFF_CHUNK, terms + 1))
+        weight = b ** (2.0 * j)
+        for row, den in zip(rows, (2.0 * j + 1.0, 2.0 * j + 2.0)):
+            term, step = weight.copy(), den**-2.0
+            for m in range(_POWER_TERMS):
+                term *= step
+                row[m] += term.sum()
+    if b2 > 0.5:
+        li2 = _dilog(b2)
+        rows[:, 0] = (_dilog(b) - li2 / 4.0) / b - 1.0, (li2 / b2 - 1.0) / 4.0
+    rows.flags.writeable = False
+    return rows
+
+
+def antiplane_R(x, xi, beta: float):
     """Reflection part of the antiplane kernel (image sums across the strip).
 
-    With s = x + xi and u = x - xi the one-sided form
+    With s = x + xi, a = 1 - s and u = x - xi the one-sided form
     beta [D(s) - D(2 - s)] + beta^2 [D(2 - u) - D(2 + u) + 2u/(4 - u^2)]
-    pairs term by term into
+    pairs term by term, and each paired term expands in a^2 or u^2:
 
-        2 beta (1 - s) sum_{j>=1} beta^(2j) / ((2j + 1)^2 - (1 - s)^2)
-      + 2 beta^2 u sum_{j>=0} beta^(2j) / ((2j + 2)^2 - u^2),
+        R = 2 beta a sum_m c_m a^(2m)
+          + 2 beta^2 u [1/(4 - u^2) + sum_m c'_m u^(2m)],
+        c_m = sum_{j>=1} beta^(2j) (2j+1)^(-2m-2),  c'_m the same over 2j+2.
 
-    whose j = 0 term of the second sum is the explicit 2u/(4 - u^2).  Both
-    are _image_sum series in z = (1 - s)^2 and u^2, and each stops at
-    tol/100: unlike D(s) - D(2 - s) the paired terms carry no tail
-    cancellation.  Defined for |1 - s| < 3 and |u| < 2, which holds on the
-    crack square; +-0 at beta = 0.
+    Horner sums both in place with _POWER_TERMS terms of the rows that
+    _reflection_rows builds once per beta, at a cost that does not depend
+    on beta.  Defined on the crack square (|a|, |u| <= 1); +-0 at beta = 0.
     """
-    _check_tol(tol)
     a, u = 1.0 - (x + xi), x - xi
-    b2, tol = beta * beta, tol / 100.0
-    out = _image_sum(np.square(a), lambda k: (2.0 * k + 3.0) ** 2, b2, b2, tol)
-    out *= a
-    out *= 2.0 * beta
-    second = _image_sum(np.square(u), lambda k: (2.0 * k + 2.0) ** 2, 1.0,
-                        b2, tol)
-    second *= u
-    second *= 2.0 * b2
-    out += second
+    a2, u2 = np.square(a), np.square(u)
+    if not (np.max(a2) <= 1.0 and np.max(u2) <= 1.0):
+        raise ValueError("argument off the crack square of the strip")
+    c, c_prime = _reflection_rows(beta)
+    out, second = np.full_like(a2, c[-1]), np.full_like(u2, c_prime[-1])
+    for cm, cm_prime in zip(c[-2::-1], c_prime[-2::-1]):
+        out *= a2
+        out += cm
+        second *= u2
+        second += cm_prime
+    second += 1.0 / (4.0 - u2)
+    out *= 2.0 * beta * a
+    out += 2.0 * beta * beta * u * second
     return out if np.ndim(out) else float(out)
 
 
@@ -189,7 +209,6 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
     endpoint pair.
     """
     beta = params.beta
-    tol = params.series_tol
     if abs(beta) == 1.0:
         raise ContrastLimitError(
             f"modulus ratio {params.lam:g} is too extreme: |beta| -> 1, and "
@@ -197,7 +216,7 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
 
     def regular_part(x, xi):
         return (cot_gap(xi - x) + beta * fixed_gap(xi + x)
-                + antiplane_R(x, xi, beta, tol) / np.pi)
+                + antiplane_R(x, xi, beta) / np.pi)
 
     return KernelSpec(beta=beta, regular_part=regular_part)
 

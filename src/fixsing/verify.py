@@ -267,10 +267,10 @@ def _kernels_checks(nodes):
     yield CheckResult("kernels", "reflection-series-tail-bound",
                       float(np.max(np.abs(got - direct))), 1e-11)
 
-    # the paired image sums of antiplane_R against the one-sided form,
-    # with the four D arguments in one call: both run kernels._image_sum, so
-    # this checks the pairing algebra; the direct sum above (and mpmath in
-    # the tests) checks the summer
+    # antiplane_R's power series against the one-sided form, with the four
+    # D arguments in one call: the two are independent algorithms (Horner
+    # in a^2 and u^2 against D's image loop), and the direct sum above
+    # checks D
     x, xi = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
     s, u = x + xi, x - xi
     err = 0.0

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from fixsing.kernels import (_TAYLOR_RADIUS, AntiplaneParams, NoBracketError,
-                             PlaneStrainParams, antiplane_D, antiplane_R,
-                             antiplane_kernel, cot_gap, fixed_gap,
-                             gamma0_root, lambda_fn,
+                             PlaneStrainParams, _dilog, antiplane_D,
+                             antiplane_R, antiplane_kernel, cot_gap,
+                             fixed_gap, gamma0_root, lambda_fn,
                              plane_strain_coeffs, plane_strain_kernel)
 from fixsing.complete import SolveConfig, solve
-from fixsing import cauchy
+from fixsing import cauchy, oracle
 
 
 def test_antiplane_params():
@@ -112,7 +112,7 @@ def test_antiplane_kernel_against_high_precision_reference():
          + beta**2 * (d_mp(2 - u) - d_mp(2 + u) + 2 * u / (4 - u * u)))
     ref = ((1 / (xi - x) + beta / s + beta / (s - 2) + r) / mppi
            - mpcot(mppi * (xi - x) / 2) / 2 - beta / 2 * mpcot(mppi * s / 2))
-    kern = antiplane_kernel(AntiplaneParams(lam=0.5, series_tol=1e-15))
+    kern = antiplane_kernel(AntiplaneParams(lam=0.5))
     assert kern.regular_part(0.25, 0.75) == pytest.approx(float(ref),
                                                           abs=1e-13)
 
@@ -409,20 +409,23 @@ def _reflection_reference(beta):
     return np.array(out)
 
 
-@pytest.mark.parametrize("lam", [5e-4, 1e-3, 0.1, 0.5, 3.0, 100.0, 1e3, 2e3])
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 5e-4, 1e-3, 0.1, 0.5, 3.0,
+                                 100.0, 1e3, 2e3, 1e4, 1e8])
 def test_paired_reflection_sums_against_lerch_reference(lam):
     beta = AntiplaneParams(lam=lam).beta
     got = antiplane_R(_REFLECTION_X, _REFLECTION_XI, beta)
     want = _reflection_reference(beta)
-    assert np.max(np.abs(got - want)) < 5e-14
+    assert np.max(np.abs(got - want)) < 2e-15
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.5, 100.0])
-def test_paired_reflection_sums_meet_a_loose_tolerance(lam):
-    beta = AntiplaneParams(lam=lam).beta
-    got = antiplane_R(_REFLECTION_X, _REFLECTION_XI, beta, tol=1e-6)
-    want = _reflection_reference(beta)
-    assert np.max(np.abs(got - want)) < 1e-6
+@pytest.mark.parametrize("z", [1e-3, 0.3, 0.5, 0.5 + 1e-12, 0.9, 1.0 - 1e-12])
+def test_dilog_against_mpmath(z):
+    # the series below 1/2, the reflection formula above it
+    from mpmath import mp, mpf, polylog
+
+    mp.dps = 30
+    want = polylog(2, mpf(z))
+    assert abs(_dilog(z) - want) <= 4e-16 * want
 
 
 def test_paired_reflection_sums_vanish_without_contrast():
@@ -438,29 +441,26 @@ def test_paired_reflection_sums_domain():
 
 
 def test_antiplane_solves_across_the_widened_stiffness_range():
-    cfg = SolveConfig(N=5, t1=40, t2=44)
-    for lam in (5e-4, 2e3):
+    # the ends of the physical range; the oracle residual at the reference
+    # setup is truncation-limited near 6e-4
+    xs = np.array([0.2, 0.5, 0.8])
+    for lam in (1e-4, 1e4):
         kern = antiplane_kernel(AntiplaneParams(lam=lam))
-        sol = solve(kern, lambda x: x, cfg, diagnostics=False)
+        sol = solve(kern, lambda x: x, SolveConfig(), diagnostics=False)
         assert np.all(np.isfinite(sol.b)) and np.isfinite(sol.constant_C)
-    kern = antiplane_kernel(AntiplaneParams(lam=1e4))
-    with pytest.raises(RuntimeError, match="converge"):
-        solve(kern, lambda x: x, cfg, diagnostics=False)
+        res = oracle.full_residual(sol, kern, lambda x: x, xs)
+        assert np.max(np.abs(res)) <= 2e-3
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_series_tolerance_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        AntiplaneParams(lam=0.5, series_tol=tol)
-    with pytest.raises(ValueError, match="tolerance"):
         antiplane_D(0.5, 0.5, tol=tol)
-    with pytest.raises(ValueError, match="tolerance"):
-        antiplane_R(0.3, 0.6, 0.5, tol=tol)
 
 
-# The summation loops the reflection series had before they shared
-# kernels._image_sum, kept verbatim as the reference the helper must
-# reproduce bit for bit (term counts, rounding and failures alike).
+# The summation loop antiplane_D had before it was sized ahead of its
+# passes, kept verbatim as the reference it must reproduce bit for bit
+# (term counts, rounding and failures alike).
 
 def _loop_D(x, beta, tol=1e-12):
     x = np.asarray(x, dtype=float)
@@ -488,40 +488,6 @@ def _loop_D(x, beta, tol=1e-12):
     return total if x.ndim else float(total)
 
 
-def _loop_image_sum(y, m, power, b2, tol):
-    y2 = np.square(y)
-    y2max = float(np.max(y2))
-    if not y2max < m * m:
-        raise ValueError("reflection argument outside the image strip")
-    total = np.zeros_like(y2)
-    term = np.empty_like(y2)
-    for _ in range(10_000):
-        np.subtract(m * m, y2, out=term)
-        np.divide(power, term, out=term)
-        total += term
-        power *= b2
-        m += 2.0
-        if power / ((m * m - y2max) * (1.0 - b2)) < tol:
-            return total
-    raise RuntimeError("series failed to converge")
-
-
-def _loop_R(x, xi, beta, tol=1e-12):
-    a = 1.0 - (x + xi)
-    if beta == 0.0:
-        return np.zeros_like(a) if np.ndim(a) else 0.0
-    u = x - xi
-    b2 = beta * beta
-    out = _loop_image_sum(a, 3.0, b2, b2, tol / 100.0)
-    out *= a
-    out *= 2.0 * beta
-    second = _loop_image_sum(u, 2.0, 1.0, b2, tol / 100.0)
-    second *= u
-    second *= 2.0 * b2
-    out += second
-    return out
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args).tobytes()
@@ -533,19 +499,13 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("lam", np.geomspace(4e-4, 2.5e3, 18).tolist())
 def test_shared_image_sum_reproduces_the_summation_loops(lam, tol):
     beta = AntiplaneParams(lam=lam).beta
-    x, xi = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 11),
-                        indexing="ij")
     d_args = (np.linspace(0.0, 3.0, 13), beta, tol)
     assert _outcome(antiplane_D, *d_args) == _outcome(_loop_D, *d_args)
-    r_args = (x, xi, beta, tol)
-    assert _outcome(antiplane_R, *r_args) == _outcome(_loop_R, *r_args)
 
 
 @pytest.mark.parametrize("fn, args", [
-    (antiplane_R, (np.linspace(0.0, 1.0, 40)[:, None],
-                   np.linspace(0.0, 1.0, 42)[None, :])),
     (antiplane_D, (np.linspace(0.0, 3.0, 40),)),
-], ids=["R", "D"])
+], ids=["D"])
 def test_unconverged_image_sum_raises_before_any_array_pass(fn, args,
                                                            monkeypatch):
     calls = []

@@ -268,6 +268,21 @@ def test_series_solution_reference_values():
     assert sol.evaluate(0.25) == pytest.approx(0.371442, abs=5e-4)
 
 
+def test_series_solution_matches_a_50_digit_evaluation():
+    # the m0 = 20 series above, b_j = 2 f_(j+1) with exact moments, summed
+    # over the mpmath basis functions; the tabulated 0.441492 and 0.371442
+    # miss it by 1.2e-5 and 1.7e-5, inside their 5e-4 tolerance
+    basis = build_basis(0.5, 20)
+    sol = characteristic_series_solve(basis, linear_load_coeffs(21), 20)
+    with mpmath.workdps(50):
+        b = [-4 / (mpmath.pi * (j + 1)) ** 2 if j % 2 == 0 else 0
+             for j in range(21)]
+        for x, pinned in ((0.5, 0.44150377611), (0.25, 0.37142526575)):
+            want = mpmath.fdot(b, _mp_phi(basis.rho1, 20, x))
+            assert sol.evaluate(x) == pytest.approx(float(want), abs=1e-10)
+            assert float(want) == pytest.approx(pinned, abs=1e-11)
+
+
 def test_series_solution_coefficients_and_endpoints():
     f = linear_load_coeffs(10)
     basis = build_basis(0.5, 8)
