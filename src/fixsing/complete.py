@@ -70,13 +70,16 @@ class KernelSpec:
     the grid of one spec, keyed by the spec itself, and reuses it for every
     truncation order (see _kernel_grid).  homogeneous_corners marks a regular
     part that is homogeneous of degree -1 at both corners; solve then adds
-    the corner trial functions.  The kernel factories of fixsing.kernels
-    build one; so can any caller with its own kernel.
+    the corner trial functions.  reflection_odd declares K(1 - x, 1 - xi)
+    = -K(x, xi), so that solve evaluates only the rows x <= 1/2; it is
+    never assumed.  The kernel factories of fixsing.kernels build one and
+    declare the identity; so can any caller with its own kernel.
     """
 
     beta: float
     regular_part: Callable
     homogeneous_corners: bool = False
+    reflection_odd: bool = False
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,15 @@ def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _corner_images(beta: float, power: float, t1: int, nodes: int):
     """S[g](x) of both corner functions g at the t1 midpoints (read-only,
-    shared by every truncation order of one kernel)."""
-    x = _midpoints(t1)
+    shared by every truncation order of one kernel).  S is odd under
+    x -> 1 - x, xi -> 1 - xi for every beta, so apply_S runs on the first
+    ceil(t1/2) midpoints and the rest mirror, odd for the even function.
+    """
+    x = _midpoints(t1)[: (t1 + 1) // 2]
     rule = PVRule(nodes)
-    images = np.array([apply_S(g, beta, x, rule)
-                       for g in corner_functions(power)])
+    top = np.array([apply_S(g, beta, x, rule)
+                    for g in corner_functions(power)])
+    images = np.hstack([top, [[-1.0], [1.0]] * top[:, : t1 // 2][:, ::-1]])
     images.setflags(write=False)
     return images
 
@@ -188,9 +195,10 @@ def _xi_rule(kernel: KernelSpec, t2: int):
 @lru_cache(maxsize=1)
 def _kernel_grid(kernel: KernelSpec, t1: int, t2: int):
     """K at the t1 x-midpoints against the xi-nodes of _xi_rule (read-only,
-    shared by every truncation order of one kernel)."""
-    grid = kernel_grid(kernel.regular_part, _midpoints(t1),
-                       _xi_rule(kernel, t2)[0])
+    shared by every truncation order of one kernel); a reflection-odd
+    kernel gets only the first ceil(t1/2) rows, x <= 1/2."""
+    x = _midpoints(t1)[: (t1 + 1) // 2 if kernel.reflection_odd else t1]
+    grid = kernel_grid(kernel.regular_part, x, _xi_rule(kernel, t2)[0])
     grid.setflags(write=False)
     return grid
 
@@ -208,6 +216,10 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     Returns shape (n_max+1, n_max+1) with j = 0..n_max columns.  Each
     further trial function in extra appends one column after the basis
     and one cosine row, so the matrix stays square.
+    A reflection-odd kernel's grid has the rows x <= 1/2 only; as both
+    xi-rules are mirror-symmetric, the rows x > 1/2 add -(-1)^n times
+    cos @ K_top with its xi-columns reversed (an odd t1's middle row at
+    half weight).
     """
     if basis.max_degree < n_max:
         raise ValueError("basis degree too small for requested moments")
@@ -220,8 +232,13 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
         pmat = np.vstack([pmat] + [g(xi) for g in extra])
     if w is not None:
         pmat = pmat * w
-    cosmat = np.cos(np.pi * np.outer(np.arange(len(pmat)), x))
-    return cosmat @ kmat @ pmat.T / scale
+    cosmat = np.cos(np.pi * np.outer(np.arange(len(pmat)), x[:len(kmat)]))
+    if kernel.reflection_odd and config.t1 % 2:
+        cosmat[:, -1] *= 0.5
+    top = cosmat @ kmat
+    if kernel.reflection_odd:
+        top -= (-1.0) ** np.arange(len(top))[:, None] * top[:, ::-1]
+    return top @ pmat.T / scale
 
 
 def dense_solve(a: np.ndarray, f: np.ndarray):

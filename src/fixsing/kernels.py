@@ -218,7 +218,8 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
         return (cot_gap(xi - x) + beta * fixed_gap(xi + x)
                 + antiplane_R(x, xi, beta) / np.pi)
 
-    return KernelSpec(beta=beta, regular_part=regular_part)
+    return KernelSpec(beta=beta, regular_part=regular_part,
+                      reflection_odd=True)
 
 
 @dataclass(frozen=True)
@@ -380,4 +381,4 @@ def plane_strain_kernel(params: PlaneStrainParams) -> KernelSpec:
         return (cot_gap(xi - x) + beta * fixed_gap(s) + (q + qm) / np.pi)
 
     return KernelSpec(beta=beta, regular_part=regular_part,
-                      homogeneous_corners=True)
+                      homogeneous_corners=True, reflection_odd=True)

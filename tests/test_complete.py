@@ -1,6 +1,7 @@
 """Galerkin solver for the complete equation: assembly, truncation,
 reference tables and structural identities."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from fixsing._quad import _GRID_BLOCK
 from fixsing.complete import (KernelSpec, SingularSystemError, SolveConfig,
                               fourier_load_coeffs, kernel_matrix, solve)
 from fixsing.kernels import AntiplaneParams, antiplane_kernel
+from fixsing.oracle import apply_S
 from fixsing.spectral import (SpectralBasis, build_basis,
                               characteristic_series_solve)
 
@@ -341,6 +343,14 @@ def test_truncation_ladder_evaluates_the_solve_grid_once():
     solve(kern, lambda x: x, SolveConfig(N=5, t1=t1 + 20, t2=t2),
           diagnostics=False)
     assert sum(rows) == 2 * t1 + 20
+    # a reflection-odd kernel evaluates the rows x <= 1/2 only
+    rows.clear()
+    odd = KernelSpec(beta=base.beta, regular_part=counted,
+                     reflection_odd=True)
+    for n in (5, 9, 13, 17, 21):
+        solve(odd, lambda x: x, SolveConfig(N=n, t1=t1, t2=t2),
+              diagnostics=False)
+    assert sum(rows) == t1 // 2
 
 
 def test_cross_check_evaluates_k_phi_on_one_64_row_grid():
@@ -380,7 +390,62 @@ def test_kernel_matrix_equals_the_unblocked_formula(kern):
     assert kmat.size > _GRID_BLOCK
     cosmat = np.cos(np.pi * np.outer(np.arange(8), x))
     want = cosmat @ kmat @ pmat.T / scale
-    np.testing.assert_array_equal(kernel_matrix(kern, basis, cfg, 7), want)
+    full = dataclasses.replace(kern, reflection_odd=False)
+    np.testing.assert_array_equal(kernel_matrix(full, basis, cfg, 7), want)
+    # the declared kernel folds the rows x > 1/2 onto x < 1/2
+    assert kern.reflection_odd
+    got = kernel_matrix(kern, basis, cfg, 7)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_caller_kernel_is_not_assumed_reflection_odd():
+    # x xi is not odd under x -> 1 - x, xi -> 1 - xi; folded as if it were,
+    # the five-point equation residual would read 0.16
+    kern = KernelSpec(beta=0.5, regular_part=lambda x, xi: x * xi)
+    assert not kern.reflection_odd
+    sol = solve(kern, lambda x: x, SolveConfig(N=12, t1=120, t2=130))
+    assert sol.residual_report["equation_residual_max"] <= 5e-3
+
+
+@pytest.mark.parametrize("t1", [61, 200, 201])
+@pytest.mark.parametrize("kern", [
+    antiplane_kernel(AntiplaneParams(lam=3.0)), _plane_strain(2.0)],
+    ids=["antiplane", "plane-strain"])
+def test_reflection_odd_moments_equal_the_full_grid(kern, t1):
+    cfg = SolveConfig(N=17, t1=t1, t2=t1 + 10)
+    basis = build_basis(kern.beta, 16)
+    extra = (complete.corner_functions(2.0 * basis.rho1)
+             if kern.homogeneous_corners else ())
+    got = kernel_matrix(kern, basis, cfg, 16, extra)
+    want = kernel_matrix(dataclasses.replace(kern, reflection_odd=False),
+                         basis, cfg, 16, extra)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+    # phi_j has the parity (-1)^j about x = 1/2, so k_nj vanishes for even
+    # n + j up to the one-ulp offsets of mirrored nodes
+    n, j = np.indices((17, 17))
+    assert np.max(np.abs(got[:17, :17][(n + j) % 2 == 0])) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("t1", [61, 200])
+def test_corner_images_apply_S_on_half_the_midpoints(t1, monkeypatch):
+    points = []
+
+    def counted(g, beta, x, rule):
+        points.append(len(x))
+        return apply_S(g, beta, x, rule)
+
+    monkeypatch.setattr(complete, "apply_S", counted)
+    complete._corner_images.cache_clear()
+    try:
+        images = complete._corner_images(0.3, 1.4, t1, complete.PV_NODES)
+    finally:
+        complete._corner_images.cache_clear()
+    assert points == [(t1 + 1) // 2] * 2
+    rule = complete.PVRule(complete.PV_NODES)
+    want = [apply_S(g, 0.3, complete._midpoints(t1), rule)
+            for g in complete.corner_functions(1.4)]
+    np.testing.assert_allclose(images, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0], ids=["spectral", "cauchy"])

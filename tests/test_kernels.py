@@ -368,6 +368,25 @@ def test_gap_blocks_equal_the_two_branch_formulas():
     assert cot_gap(0.0) == 0.0
 
 
+@pytest.mark.parametrize("kern", [
+    *(antiplane_kernel(AntiplaneParams(lam=lam))
+      for lam in (1e-4, 0.01, 0.5, 100.0, 1e4)),
+    *(plane_strain_kernel(plane_strain_coeffs(lam, 1.0, 0.3, 0.3))
+      for lam in (0.01, 2.0, 100.0))],
+    ids=["antiplane-1e-4", "antiplane-0.01", "antiplane-0.5",
+         "antiplane-100", "antiplane-1e4", "plane-strain-0.01",
+         "plane-strain-2", "plane-strain-100"])
+def test_factory_kernels_are_odd_under_reflection(kern):
+    # the declaration behind the solver's half grids:
+    # K(1 - x, 1 - xi) = -K(x, xi); the bound is per point, not scaled by
+    # max |K|, which is only 6e-4 at lambda = 1e+-4 against O(1) cot terms
+    assert kern.reflection_odd
+    x, xi = np.random.default_rng(18).uniform(0.001, 0.999, (2, 400))
+    k = kern.regular_part(x, xi)
+    gap = np.abs(kern.regular_part(1.0 - x, 1.0 - xi) + k)
+    assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(k)))
+
+
 def test_plane_strain_params_are_frozen_and_derive_the_root():
     p = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
     g = gamma0_root(p)
@@ -506,8 +525,8 @@ def test_shared_image_sum_reproduces_the_summation_loops(lam, tol):
 @pytest.mark.parametrize("fn, args", [
     (antiplane_D, (np.linspace(0.0, 3.0, 40),)),
 ], ids=["D"])
-def test_unconverged_image_sum_raises_before_any_array_pass(fn, args,
-                                                           monkeypatch):
+def test_unconverged_antiplane_D_raises_before_any_array_pass(fn, args,
+                                                             monkeypatch):
     calls = []
     divide = np.divide
 
