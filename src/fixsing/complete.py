@@ -27,6 +27,12 @@ even and one odd about x = 1/2; they free that power at each endpoint.
 Their images under S come from the principal-value rule of
 fixsing.oracle, the system gains one cosine row per function, and the
 kernel moments use an endpoint-graded rule in xi (see kernel_matrix).
+
+The moments k_{nj} are double midpoint sums over the t1 x t2 grid.  A
+regular part declared analytic on the closed square (the antiplane
+kernel) enters them through its interpolant on a fixed tensor of
+CHEB_ORDER^2 Chebyshev points instead of the grid itself; every other
+kernel is evaluated on the grid.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ CAUCHY_BETA = 1e-9
 #: S-images and the diagnostics of solve
 PV_NODES = 512
 
+#: points per variable of the Chebyshev tensor that samples an analytic
+#: regular part.  The antiplane kernel's nearest singularities lie at
+#: xi - x = +-2, a Bernstein ellipse with rho = 3 + sqrt(8) for every beta,
+#: so the truncation error, of order rho^-24 ~ 4e-19, is below rounding
+CHEB_ORDER = 24
+
 
 class SingularSystemError(RuntimeError):
     """Truncated system numerically rank-deficient."""
@@ -67,19 +79,29 @@ class KernelSpec:
     values on the open square and the diagonal; corner growth (toward
     xi = x = 0 and xi = x = 1) is allowed since quadrature nodes are
     interior midpoints.  It must be a pure function of (x, xi): solve caches
-    the grid of one spec, keyed by the spec itself, and reuses it for every
-    truncation order (see _kernel_grid).  homogeneous_corners marks a regular
-    part that is homogeneous of degree -1 at both corners; solve then adds
-    the corner trial functions.  reflection_odd declares K(1 - x, 1 - xi)
-    = -K(x, xi), so that solve evaluates only the rows x <= 1/2; it is
-    never assumed.  The kernel factories of fixsing.kernels build one and
-    declare the identity; so can any caller with its own kernel.
+    the samples of one spec, keyed by the spec itself, and reuses them for
+    every truncation order (see _kernel_grid and _kernel_tensor).
+    homogeneous_corners marks a regular part that is homogeneous of degree
+    -1 at both corners; solve then adds the corner trial functions.
+    reflection_odd declares K(1 - x, 1 - xi) = -K(x, xi), so that solve
+    evaluates only the grid rows x <= 1/2.  analytic declares a regular
+    part analytic on a neighbourhood of the closed square, so that solve
+    samples it on the CHEB_ORDER^2 Chebyshev tensor instead of the grid; it
+    excludes homogeneous_corners.  Neither identity is ever assumed.  The
+    kernel factories of fixsing.kernels build one and declare what holds;
+    so can any caller with its own kernel.
     """
 
     beta: float
     regular_part: Callable
     homogeneous_corners: bool = False
     reflection_odd: bool = False
+    analytic: bool = False
+
+    def __post_init__(self):
+        if self.analytic and self.homogeneous_corners:
+            raise ValueError("a kernel with homogeneous corners is not "
+                             "analytic on the closed square")
 
 
 @dataclass(frozen=True)
@@ -203,6 +225,40 @@ def _kernel_grid(kernel: KernelSpec, t1: int, t2: int):
     return grid
 
 
+def _chebyshev_points() -> np.ndarray:
+    """The CHEB_ORDER first-kind Chebyshev points of [0, 1], ascending."""
+    theta = (2.0 * np.arange(CHEB_ORDER) + 1.0) * np.pi / (2.0 * CHEB_ORDER)
+    return (1.0 - np.cos(theta)) / 2.0
+
+
+@lru_cache(maxsize=8)
+def _chebyshev_interpolation(t: int) -> np.ndarray:
+    """(t, CHEB_ORDER) barycentric matrix from values at the Chebyshev
+    points to the interpolant at the t midpoints (read-only).  The weights
+    of first-kind points are (-1)^k sin(theta_k) (Berrut and Trefethen,
+    SIAM Review 2004); a midpoint on a Chebyshev point takes its value."""
+    k = np.arange(CHEB_ORDER)
+    weights = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2 * CHEB_ORDER))
+    diff = _midpoints(t)[:, None] - _chebyshev_points()
+    hit = diff == 0.0
+    mat = weights / np.where(hit, 1.0, diff)
+    on_node = hit.any(axis=1)
+    mat[on_node] = hit[on_node]
+    mat /= mat.sum(axis=1, keepdims=True)
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=1)
+def _kernel_tensor(kernel: KernelSpec) -> np.ndarray:
+    """K on the CHEB_ORDER^2 Chebyshev tensor (read-only, shared by every
+    truncation order and node budget of one analytic kernel)."""
+    nodes = _chebyshev_points()
+    tensor = kernel_grid(kernel.regular_part, nodes, nodes)
+    tensor.setflags(write=False)
+    return tensor
+
+
 def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
                   config: SolveConfig, n_max: int, extra=()) -> np.ndarray:
     """Moments k_{nj} = int int K(x, xi) phi_j(xi) cos(n pi x) dxi dx.
@@ -216,7 +272,11 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     Returns shape (n_max+1, n_max+1) with j = 0..n_max columns.  Each
     further trial function in extra appends one column after the basis
     and one cosine row, so the matrix stays square.
-    A reflection-odd kernel's grid has the rows x <= 1/2 only; as both
+    An analytic kernel replaces the grid by its Chebyshev interpolant
+    L_x V L_xi^T, V the tensor samples and L the barycentric matrices to
+    the midpoints, and the moments become (cos @ L_x / t1) @ V @
+    (L_xi^T @ pmat^T / t2) without a grid-sized product.  Otherwise a
+    reflection-odd kernel's grid has the rows x <= 1/2 only; as both
     xi-rules are mirror-symmetric, the rows x > 1/2 add -(-1)^n times
     cos @ K_top with its xi-columns reversed (an odd t1's middle row at
     half weight).
@@ -225,11 +285,16 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
         raise ValueError("basis degree too small for requested moments")
     x = _midpoints(config.t1)
     xi, w = _xi_rule(kernel, config.t2)
-    scale = config.t1 if w is not None else config.t1 * config.t2
-    kmat = _kernel_grid(kernel, config.t1, config.t2)
     pmat = basis.phi_matrix(xi)[: n_max + 1]
     if extra:
         pmat = np.vstack([pmat] + [g(xi) for g in extra])
+    if kernel.analytic:
+        cosmat = np.cos(np.pi * np.outer(np.arange(len(pmat)), x))
+        left = cosmat @ _chebyshev_interpolation(config.t1) / config.t1
+        right = _chebyshev_interpolation(config.t2).T @ pmat.T / config.t2
+        return left @ _kernel_tensor(kernel) @ right
+    scale = config.t1 if w is not None else config.t1 * config.t2
+    kmat = _kernel_grid(kernel, config.t1, config.t2)
     if w is not None:
         pmat = pmat * w
     cosmat = np.cos(np.pi * np.outer(np.arange(len(pmat)), x[:len(kmat)]))

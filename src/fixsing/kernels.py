@@ -206,7 +206,9 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
     K(x, xi) = [rational dominant part]/pi - [cot dominant part] + R/pi,
     grouped so every difference of a rational pole against its cot twin is
     evaluated stably: cot_gap on the moving singularity, fixed_gap on the
-    endpoint pair.
+    endpoint pair.  The spec declares K odd under reflection and analytic
+    on the closed square: the nearest singularities of every term lie at
+    xi - x = +-2.
     """
     beta = params.beta
     if abs(beta) == 1.0:
@@ -219,7 +221,7 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
                 + antiplane_R(x, xi, beta) / np.pi)
 
     return KernelSpec(beta=beta, regular_part=regular_part,
-                      reflection_odd=True)
+                      reflection_odd=True, analytic=True)
 
 
 @dataclass(frozen=True)

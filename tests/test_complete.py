@@ -351,6 +351,22 @@ def test_truncation_ladder_evaluates_the_solve_grid_once():
         solve(odd, lambda x: x, SolveConfig(N=n, t1=t1, t2=t2),
               diagnostics=False)
     assert sum(rows) == t1 // 2
+    # an analytic kernel is sampled once on the Chebyshev tensor, never on
+    # a t2-wide grid
+    rows.clear()
+    shapes = []
+
+    def tensor_counted(x, xi):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+        return counted(x, xi)
+
+    analytic = dataclasses.replace(odd, regular_part=tensor_counted,
+                                   analytic=True)
+    for n in (5, 9, 13, 17, 21):
+        solve(analytic, lambda x: x, SolveConfig(N=n, t1=t1, t2=t2),
+              diagnostics=False)
+    assert rows == []
+    assert shapes == [(complete.CHEB_ORDER, complete.CHEB_ORDER)]
 
 
 def test_cross_check_evaluates_k_phi_on_one_64_row_grid():
@@ -390,11 +406,13 @@ def test_kernel_matrix_equals_the_unblocked_formula(kern):
     assert kmat.size > _GRID_BLOCK
     cosmat = np.cos(np.pi * np.outer(np.arange(8), x))
     want = cosmat @ kmat @ pmat.T / scale
-    full = dataclasses.replace(kern, reflection_odd=False)
+    # the grid route: an analytic kernel would take the Chebyshev tensor
+    grid = dataclasses.replace(kern, analytic=False)
+    full = dataclasses.replace(grid, reflection_odd=False)
     np.testing.assert_array_equal(kernel_matrix(full, basis, cfg, 7), want)
     # the declared kernel folds the rows x > 1/2 onto x < 1/2
     assert kern.reflection_odd
-    got = kernel_matrix(kern, basis, cfg, 7)
+    got = kernel_matrix(grid, basis, cfg, 7)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -403,6 +421,7 @@ def test_caller_kernel_is_not_assumed_reflection_odd():
     # the five-point equation residual would read 0.16
     kern = KernelSpec(beta=0.5, regular_part=lambda x, xi: x * xi)
     assert not kern.reflection_odd
+    assert not kern.analytic
     sol = solve(kern, lambda x: x, SolveConfig(N=12, t1=120, t2=130))
     assert sol.residual_report["equation_residual_max"] <= 5e-3
 
@@ -416,6 +435,7 @@ def test_reflection_odd_moments_equal_the_full_grid(kern, t1):
     basis = build_basis(kern.beta, 16)
     extra = (complete.corner_functions(2.0 * basis.rho1)
              if kern.homogeneous_corners else ())
+    kern = dataclasses.replace(kern, analytic=False)
     got = kernel_matrix(kern, basis, cfg, 16, extra)
     want = kernel_matrix(dataclasses.replace(kern, reflection_odd=False),
                          basis, cfg, 16, extra)
@@ -425,6 +445,41 @@ def test_reflection_odd_moments_equal_the_full_grid(kern, t1):
     # n + j up to the one-ulp offsets of mirrored nodes
     n, j = np.indices((17, 17))
     assert np.max(np.abs(got[:17, :17][(n + j) % 2 == 0])) <= 1e-15 * scale
+
+
+def test_analytic_kernel_excludes_homogeneous_corners():
+    with pytest.raises(ValueError, match="homogeneous corners"):
+        KernelSpec(beta=0.5, regular_part=ZERO_KERNEL.regular_part,
+                   homogeneous_corners=True, analytic=True)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.01, 0.3, 0.5, 2.0, 100.0,
+                                 1e3, 1e4])
+def test_chebyshev_tensor_matches_the_grid_route(lam):
+    kern = antiplane_kernel(AntiplaneParams(lam=lam))
+    assert kern.analytic
+    # the interpolant against the exact solve grid, absolute
+    t1, t2 = 200, 210
+    x, xi = complete._midpoints(t1), complete._midpoints(t2)
+    interp = (complete._chebyshev_interpolation(t1)
+              @ complete._kernel_tensor(kern)
+              @ complete._chebyshev_interpolation(t2).T)
+    exact = kern.regular_part(*np.ix_(x, xi))
+    assert np.max(np.abs(interp - exact)) <= 1e-14
+    # solves against the grid route, relative
+    grid = dataclasses.replace(kern, analytic=False)
+    xs = np.linspace(0.0, 1.0, 41)
+    for N in (5, 17, 21, 41):
+        for load in (lambda x: x, lambda x: x * x / 2.0):
+            got, want = (solve(k, load, SolveConfig(N=N), diagnostics=False)
+                         for k in (kern, grid))
+            np.testing.assert_allclose(got.b, want.b, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(want.b)))
+            assert got.constant_C == pytest.approx(want.constant_C,
+                                                   rel=1e-13)
+            phi = want.evaluate(xs)
+            np.testing.assert_allclose(got.evaluate(xs), phi, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(phi)))
 
 
 @pytest.mark.parametrize("t1", [61, 200])
