@@ -20,18 +20,7 @@ import numpy as np
 
 from . import complete
 from ._quad import kernel_grid, safe_ratio, values_at
-from .specfun import chebyshev_T, chebyshev_U
-
-
-def _u_rows(z: np.ndarray, count: int) -> np.ndarray:
-    """U_0(z) .. U_(count-1)(z) stacked, in one pass of the recurrence of
-    specfun.chebyshev_U (the same values bit for bit)."""
-    out = np.ones((count, len(z)))
-    if count > 1:
-        out[1] = 2.0 * z
-    for j in range(2, count):
-        out[j] = 2.0 * z * out[j - 1] - out[j - 2]
-    return out
+from .specfun import chebyshev_T, chebyshev_U, chebyshev_U_rows
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,7 @@ class CauchyBasis:
         """Stacked values for all j <= max_degree; shape (J+1, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         w = np.sqrt(np.clip(x * (1.0 - x), 0.0, None))
-        return w * _u_rows(2.0 * x - 1.0, self.max_degree + 1)
+        return w * chebyshev_U_rows(2.0 * x - 1.0, self.max_degree + 1)
 
 
 def cauchy_inverse(F, x, nodes: int = 256):
@@ -125,12 +114,12 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
     xi = 0.5 * (1.0 + np.cos(np.pi * s2))
 
     fvals = values_at(F, x)
-    cos1 = np.cos(np.pi * np.outer(np.arange(N + 1), s1))
+    cos1 = complete._cosines(N + 1, t1)
     f = cos1 @ fvals / t1
 
     kmat = kernel_grid(K, x, xi)
     sin2 = np.sin(np.pi * s2)
-    umat = _u_rows(np.cos(np.pi * s2), N) * sin2**2
+    umat = chebyshev_U_rows(np.cos(np.pi * s2), N) * sin2**2
     k = cos1 @ kmat @ umat.T / (4.0 * t1 * t2)
 
     a = k[1:, :].copy()

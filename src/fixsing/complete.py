@@ -24,9 +24,11 @@ remainder) changes the second power of the solution, so its expansion in
 phi_j converges only algebraically.  For such kernels the trial space
 gets two corner functions with the power x^(2 rho1) at both ends, one
 even and one odd about x = 1/2; they free that power at each endpoint.
-Their images under S come from the principal-value rule of
-fixsing.oracle, the system gains one cosine row per function, and the
-kernel moments use an endpoint-graded rule in xi (see kernel_matrix).
+Their images under S are analytic on [0, 1] (see _corner_images): they
+come from the principal-value rule of fixsing.oracle at the CHEB_ORDER
+Chebyshev points and enter the cosine moments through their interpolant.
+The system gains one cosine row per function, and the kernel moments use
+an endpoint-graded rule in xi (see kernel_matrix).
 
 The moments k_{nj} are double midpoint sums over the t1 x t2 grid.  A
 regular part declared analytic on the closed square (the antiplane
@@ -83,19 +85,16 @@ class KernelSpec:
     every truncation order (see _kernel_grid and _kernel_tensor).
     homogeneous_corners marks a regular part that is homogeneous of degree
     -1 at both corners; solve then adds the corner trial functions.
-    reflection_odd declares K(1 - x, 1 - xi) = -K(x, xi), so that solve
-    evaluates only the grid rows x <= 1/2.  analytic declares a regular
-    part analytic on a neighbourhood of the closed square, so that solve
-    samples it on the CHEB_ORDER^2 Chebyshev tensor instead of the grid; it
-    excludes homogeneous_corners.  Neither identity is ever assumed.  The
-    kernel factories of fixsing.kernels build one and declare what holds;
-    so can any caller with its own kernel.
+    analytic declares a regular part analytic on a neighbourhood of the
+    closed square, so that solve samples it on the CHEB_ORDER^2 Chebyshev
+    tensor instead of the grid; it excludes homogeneous_corners and is
+    never assumed.  The kernel factories of fixsing.kernels build one and
+    declare what holds; so can any caller with its own kernel.
     """
 
     beta: float
     regular_part: Callable
     homogeneous_corners: bool = False
-    reflection_odd: bool = False
     analytic: bool = False
 
     def __post_init__(self):
@@ -176,6 +175,11 @@ def _midpoints(t: int) -> np.ndarray:
     return (2.0 * np.arange(1, t + 1) - 1.0) / (2.0 * t)
 
 
+def _cosines(rows: int, t: int) -> np.ndarray:
+    """cos(n pi x) for n < rows at the t midpoints, shape (rows, t)."""
+    return np.cos(np.pi * np.outer(np.arange(rows), _midpoints(t)))
+
+
 def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
     """Cosine moments f_n = int_0^1 F(x) cos(n pi x) dx, n = 0..n_max.
 
@@ -185,23 +189,23 @@ def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
     """
     if n_max >= t1:
         raise ValueError("n_max must stay below the node count")
-    x = _midpoints(t1)
-    n = np.arange(n_max + 1)
-    return np.cos(np.pi * np.outer(n, x)) @ values_at(F, x) / t1
+    return _cosines(n_max + 1, t1) @ values_at(F, _midpoints(t1)) / t1
 
 
 @lru_cache(maxsize=32)
-def _corner_images(beta: float, power: float, t1: int, nodes: int):
-    """S[g](x) of both corner functions g at the t1 midpoints (read-only,
-    shared by every truncation order of one kernel).  S is odd under
-    x -> 1 - x, xi -> 1 - xi for every beta, so apply_S runs on the first
-    ceil(t1/2) midpoints and the rest mirror, odd for the even function.
+def _corner_images(beta: float, power: float):
+    """S[g] of both corner functions g at the CHEB_ORDER Chebyshev points
+    (read-only, shared by every truncation order and node budget).  The
+    Mellin symbol -(cos pi s + beta)/sin pi s of S vanishes at s = 2 rho1
+    = power and is 2-periodic, so S maps every term x^(power + 2k) of g
+    to a function without a singular part, at either end: both images are
+    analytic on [0, 1] (Duduchava, Integral Equations with Fixed
+    Singularities, 1979), and their interpolant stands in for them at the
+    midpoints, as the tensor does for an analytic kernel.
     """
-    x = _midpoints(t1)[: (t1 + 1) // 2]
-    rule = PVRule(nodes)
-    top = np.array([apply_S(g, beta, x, rule)
-                    for g in corner_functions(power)])
-    images = np.hstack([top, [[-1.0], [1.0]] * top[:, : t1 // 2][:, ::-1]])
+    x, rule = _chebyshev_points(), PVRule(PV_NODES)
+    images = np.array([apply_S(g, beta, x, rule)
+                       for g in corner_functions(power)])
     images.setflags(write=False)
     return images
 
@@ -217,10 +221,9 @@ def _xi_rule(kernel: KernelSpec, t2: int):
 @lru_cache(maxsize=1)
 def _kernel_grid(kernel: KernelSpec, t1: int, t2: int):
     """K at the t1 x-midpoints against the xi-nodes of _xi_rule (read-only,
-    shared by every truncation order of one kernel); a reflection-odd
-    kernel gets only the first ceil(t1/2) rows, x <= 1/2."""
-    x = _midpoints(t1)[: (t1 + 1) // 2 if kernel.reflection_odd else t1]
-    grid = kernel_grid(kernel.regular_part, x, _xi_rule(kernel, t2)[0])
+    shared by every truncation order of one kernel)."""
+    grid = kernel_grid(kernel.regular_part, _midpoints(t1),
+                       _xi_rule(kernel, t2)[0])
     grid.setflags(write=False)
     return grid
 
@@ -249,6 +252,13 @@ def _chebyshev_interpolation(t: int) -> np.ndarray:
     return mat
 
 
+def _interpolant_cosine_moments(rows: int, t1: int) -> np.ndarray:
+    """(rows, CHEB_ORDER) map from values at the Chebyshev points to the
+    t1-point midpoint moments against cos(n pi x), n < rows, of their
+    interpolant."""
+    return _cosines(rows, t1) @ _chebyshev_interpolation(t1) / t1
+
+
 @lru_cache(maxsize=1)
 def _kernel_tensor(kernel: KernelSpec) -> np.ndarray:
     """K on the CHEB_ORDER^2 Chebyshev tensor (read-only, shared by every
@@ -275,35 +285,23 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     An analytic kernel replaces the grid by its Chebyshev interpolant
     L_x V L_xi^T, V the tensor samples and L the barycentric matrices to
     the midpoints, and the moments become (cos @ L_x / t1) @ V @
-    (L_xi^T @ pmat^T / t2) without a grid-sized product.  Otherwise a
-    reflection-odd kernel's grid has the rows x <= 1/2 only; as both
-    xi-rules are mirror-symmetric, the rows x > 1/2 add -(-1)^n times
-    cos @ K_top with its xi-columns reversed (an odd t1's middle row at
-    half weight).
+    (L_xi^T @ pmat^T / t2) without a grid-sized product.
     """
     if basis.max_degree < n_max:
         raise ValueError("basis degree too small for requested moments")
-    x = _midpoints(config.t1)
     xi, w = _xi_rule(kernel, config.t2)
     pmat = basis.phi_matrix(xi)[: n_max + 1]
     if extra:
         pmat = np.vstack([pmat] + [g(xi) for g in extra])
     if kernel.analytic:
-        cosmat = np.cos(np.pi * np.outer(np.arange(len(pmat)), x))
-        left = cosmat @ _chebyshev_interpolation(config.t1) / config.t1
+        left = _interpolant_cosine_moments(len(pmat), config.t1)
         right = _chebyshev_interpolation(config.t2).T @ pmat.T / config.t2
         return left @ _kernel_tensor(kernel) @ right
     scale = config.t1 if w is not None else config.t1 * config.t2
-    kmat = _kernel_grid(kernel, config.t1, config.t2)
     if w is not None:
         pmat = pmat * w
-    cosmat = np.cos(np.pi * np.outer(np.arange(len(pmat)), x[:len(kmat)]))
-    if kernel.reflection_odd and config.t1 % 2:
-        cosmat[:, -1] *= 0.5
-    top = cosmat @ kmat
-    if kernel.reflection_odd:
-        top -= (-1.0) ** np.arange(len(top))[:, None] * top[:, ::-1]
-    return top @ pmat.T / scale
+    kmat = _kernel_grid(kernel, config.t1, config.t2)
+    return _cosines(len(pmat), config.t1) @ kmat @ pmat.T / scale
 
 
 def dense_solve(a: np.ndarray, f: np.ndarray):
@@ -378,11 +376,9 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
         # the unused column phi_rows goes; the corner columns gain the
         # cosine moments of their S-images
         k = np.delete(k, rows, axis=1)
-        images = _corner_images(kernel.beta, 2.0 * basis.rho1, config.t1,
-                                PV_NODES)
-        x = _midpoints(config.t1)
-        cosmat = np.cos(np.pi * np.outer(np.arange(len(k)), x))
-        k[:, rows:] += cosmat @ images.T / config.t1
+        images = _corner_images(kernel.beta, 2.0 * basis.rho1)
+        k[:, rows:] += (_interpolant_cosine_moments(len(k), config.t1)
+                        @ images.T)
     n_unknowns = rows + len(extra)
 
     a = k[1:, :n_unknowns].copy()

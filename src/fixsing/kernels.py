@@ -206,9 +206,8 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
     K(x, xi) = [rational dominant part]/pi - [cot dominant part] + R/pi,
     grouped so every difference of a rational pole against its cot twin is
     evaluated stably: cot_gap on the moving singularity, fixed_gap on the
-    endpoint pair.  The spec declares K odd under reflection and analytic
-    on the closed square: the nearest singularities of every term lie at
-    xi - x = +-2.
+    endpoint pair.  The spec declares K analytic on the closed square:
+    the nearest singularities of every term lie at xi - x = +-2.
     """
     beta = params.beta
     if abs(beta) == 1.0:
@@ -220,8 +219,7 @@ def antiplane_kernel(params: AntiplaneParams) -> KernelSpec:
         return (cot_gap(xi - x) + beta * fixed_gap(xi + x)
                 + antiplane_R(x, xi, beta) / np.pi)
 
-    return KernelSpec(beta=beta, regular_part=regular_part,
-                      reflection_odd=True, analytic=True)
+    return KernelSpec(beta=beta, regular_part=regular_part, analytic=True)
 
 
 @dataclass(frozen=True)
@@ -383,4 +381,4 @@ def plane_strain_kernel(params: PlaneStrainParams) -> KernelSpec:
         return (cot_gap(xi - x) + beta * fixed_gap(s) + (q + qm) / np.pi)
 
     return KernelSpec(beta=beta, regular_part=regular_part,
-                      homogeneous_corners=True, reflection_odd=True)
+                      homogeneous_corners=True)

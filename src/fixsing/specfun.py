@@ -1,5 +1,5 @@
-"""Special-function primitives: Pochhammer products, Chebyshev polynomials,
-terminating hypergeometric sums, and Jacobi-weighted Chebyshev integrals.
+"""Special-function primitives: Chebyshev polynomials, terminating
+hypergeometric sums, and Jacobi-weighted Chebyshev integrals.
 
 All functions are pure and accept numpy arrays where a point argument makes
 sense.  The terminating hypergeometric sums are accumulated in exact
@@ -15,16 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1); equals 1 when m = 0."""
-    if m < 0:
-        raise ValueError("shift count must be nonnegative")
-    out = 1.0
-    for k in range(m):
-        out *= a + k
-    return out
-
-
 def chebyshev_T(n: int, x):
     """First-kind Chebyshev polynomial T_n(x) by the three-term recurrence."""
     x = np.asarray(x, dtype=float)
@@ -36,15 +26,23 @@ def chebyshev_T(n: int, x):
     return tk if x.ndim else float(tk)
 
 
+def chebyshev_U_rows(z, count: int) -> np.ndarray:
+    """U_0(z) .. U_(count-1)(z) stacked along a new first axis, in one pass
+    of the three-term recurrence."""
+    z = np.asarray(z, dtype=float)
+    out = np.ones((count,) + z.shape)
+    if count > 1:
+        out[1] = 2.0 * z
+    for j in range(2, count):
+        out[j] = 2.0 * z * out[j - 1] - out[j - 2]
+    return out
+
+
 def chebyshev_U(n: int, x):
-    """Second-kind Chebyshev polynomial U_n(x) by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x) if x.ndim else 1.0
-    ukm, uk = np.ones_like(x), 2.0 * x
-    for _ in range(n - 1):
-        ukm, uk = uk, 2.0 * x * uk - ukm
-    return uk if x.ndim else float(uk)
+    """Second-kind Chebyshev polynomial U_n(x), the last of
+    chebyshev_U_rows."""
+    u = chebyshev_U_rows(x, n + 1)[n]
+    return u if u.ndim else float(u)
 
 
 def _hyp3f2_unit(j: int, top2: float, a: float, bot1: float, b: float) -> float:

@@ -343,14 +343,6 @@ def test_truncation_ladder_evaluates_the_solve_grid_once():
     solve(kern, lambda x: x, SolveConfig(N=5, t1=t1 + 20, t2=t2),
           diagnostics=False)
     assert sum(rows) == 2 * t1 + 20
-    # a reflection-odd kernel evaluates the rows x <= 1/2 only
-    rows.clear()
-    odd = KernelSpec(beta=base.beta, regular_part=counted,
-                     reflection_odd=True)
-    for n in (5, 9, 13, 17, 21):
-        solve(odd, lambda x: x, SolveConfig(N=n, t1=t1, t2=t2),
-              diagnostics=False)
-    assert sum(rows) == t1 // 2
     # an analytic kernel is sampled once on the Chebyshev tensor, never on
     # a t2-wide grid
     rows.clear()
@@ -360,7 +352,7 @@ def test_truncation_ladder_evaluates_the_solve_grid_once():
         shapes.append(np.broadcast_shapes(np.shape(x), np.shape(xi)))
         return counted(x, xi)
 
-    analytic = dataclasses.replace(odd, regular_part=tensor_counted,
+    analytic = dataclasses.replace(kern, regular_part=tensor_counted,
                                    analytic=True)
     for n in (5, 9, 13, 17, 21):
         solve(analytic, lambda x: x, SolveConfig(N=n, t1=t1, t2=t2),
@@ -408,43 +400,20 @@ def test_kernel_matrix_equals_the_unblocked_formula(kern):
     want = cosmat @ kmat @ pmat.T / scale
     # the grid route: an analytic kernel would take the Chebyshev tensor
     grid = dataclasses.replace(kern, analytic=False)
-    full = dataclasses.replace(grid, reflection_odd=False)
-    np.testing.assert_array_equal(kernel_matrix(full, basis, cfg, 7), want)
-    # the declared kernel folds the rows x > 1/2 onto x < 1/2
-    assert kern.reflection_odd
-    got = kernel_matrix(grid, basis, cfg, 7)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    np.testing.assert_array_equal(kernel_matrix(grid, basis, cfg, 7), want)
+    # K is odd and phi_j has the parity (-1)^j about x = 1/2, so k_nj
+    # vanishes for even n + j up to rounding
+    n, j = np.indices(want.shape)
+    assert (np.max(np.abs(want[(n + j) % 2 == 0]))
+            <= 1e-15 * np.max(np.abs(want)))
 
 
-def test_caller_kernel_is_not_assumed_reflection_odd():
-    # x xi is not odd under x -> 1 - x, xi -> 1 - xi; folded as if it were,
-    # the five-point equation residual would read 0.16
+def test_caller_kernel_is_not_assumed_analytic():
+    # a caller's own kernel keeps the defaults and is solved on the grid
     kern = KernelSpec(beta=0.5, regular_part=lambda x, xi: x * xi)
-    assert not kern.reflection_odd
     assert not kern.analytic
     sol = solve(kern, lambda x: x, SolveConfig(N=12, t1=120, t2=130))
     assert sol.residual_report["equation_residual_max"] <= 5e-3
-
-
-@pytest.mark.parametrize("t1", [61, 200, 201])
-@pytest.mark.parametrize("kern", [
-    antiplane_kernel(AntiplaneParams(lam=3.0)), _plane_strain(2.0)],
-    ids=["antiplane", "plane-strain"])
-def test_reflection_odd_moments_equal_the_full_grid(kern, t1):
-    cfg = SolveConfig(N=17, t1=t1, t2=t1 + 10)
-    basis = build_basis(kern.beta, 16)
-    extra = (complete.corner_functions(2.0 * basis.rho1)
-             if kern.homogeneous_corners else ())
-    kern = dataclasses.replace(kern, analytic=False)
-    got = kernel_matrix(kern, basis, cfg, 16, extra)
-    want = kernel_matrix(dataclasses.replace(kern, reflection_odd=False),
-                         basis, cfg, 16, extra)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) <= 1e-15 * scale
-    # phi_j has the parity (-1)^j about x = 1/2, so k_nj vanishes for even
-    # n + j up to the one-ulp offsets of mirrored nodes
-    n, j = np.indices((17, 17))
-    assert np.max(np.abs(got[:17, :17][(n + j) % 2 == 0])) <= 1e-15 * scale
 
 
 def test_analytic_kernel_excludes_homogeneous_corners():
@@ -482,8 +451,7 @@ def test_chebyshev_tensor_matches_the_grid_route(lam):
                                        atol=1e-13 * np.max(np.abs(phi)))
 
 
-@pytest.mark.parametrize("t1", [61, 200])
-def test_corner_images_apply_S_on_half_the_midpoints(t1, monkeypatch):
+def test_corner_images_apply_S_once_on_the_chebyshev_points(monkeypatch):
     points = []
 
     def counted(g, beta, x, rule):
@@ -493,14 +461,33 @@ def test_corner_images_apply_S_on_half_the_midpoints(t1, monkeypatch):
     monkeypatch.setattr(complete, "apply_S", counted)
     complete._corner_images.cache_clear()
     try:
-        images = complete._corner_images(0.3, 1.4, t1, complete.PV_NODES)
+        # a new node budget reuses the images of the first
+        for t1 in (61, 200):
+            solve(_plane_strain(2.0), lambda x: x,
+                  SolveConfig(N=9, t1=t1, t2=t1 + 10), diagnostics=False)
     finally:
         complete._corner_images.cache_clear()
-    assert points == [(t1 + 1) // 2] * 2
-    rule = complete.PVRule(complete.PV_NODES)
-    want = [apply_S(g, 0.3, complete._midpoints(t1), rule)
-            for g in complete.corner_functions(1.4)]
-    np.testing.assert_allclose(images, want, rtol=0, atol=1e-14)
+    assert points == [complete.CHEB_ORDER] * 2
+
+
+@pytest.mark.parametrize("t1", [61, 200, 201])
+def test_interpolated_corner_images_match_apply_S(t1):
+    # the images are analytic on [0, 1], so their interpolant from the
+    # Chebyshev points reproduces S[g] at every midpoint.  The referee is
+    # apply_S itself, which loses up to 1e-13 relative at a point near one
+    # of its rule's nodes, where phi(xi) - phi(x) cancels (x = 0.3209 at
+    # 512 nodes, 0.2811 at 2048); the rules of 512 and 1024 nodes miss at
+    # different midpoints, so each midpoint is held to the nearer of them
+    x = complete._midpoints(t1)
+    interp = complete._chebyshev_interpolation(t1)
+    for lam in (1e-4, 0.01, 2.0, 100.0, 1e4):
+        beta = _plane_strain(lam).beta
+        power = 2.0 * build_basis(beta, 1).rho1
+        got = complete._corner_images(beta, power) @ interp.T
+        gaps = [np.abs(got - [apply_S(g, beta, x, complete.PVRule(n))
+                              for g in complete.corner_functions(power)])
+                for n in (complete.PV_NODES, 2 * complete.PV_NODES)]
+        assert np.max(np.minimum(*gaps)) <= 1e-14 * np.max(np.abs(got))
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0], ids=["spectral", "cauchy"])

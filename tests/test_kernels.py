@@ -377,10 +377,9 @@ def test_gap_blocks_equal_the_two_branch_formulas():
          "antiplane-100", "antiplane-1e4", "plane-strain-0.01",
          "plane-strain-2", "plane-strain-100"])
 def test_factory_kernels_are_odd_under_reflection(kern):
-    # the declaration behind the solver's half grids:
-    # K(1 - x, 1 - xi) = -K(x, xi); the bound is per point, not scaled by
-    # max |K|, which is only 6e-4 at lambda = 1e+-4 against O(1) cot terms
-    assert kern.reflection_odd
+    # the crack spans the strip: K(1 - x, 1 - xi) = -K(x, xi); the bound is
+    # per point, not scaled by max |K|, which is only 6e-4 at
+    # lambda = 1e+-4 against O(1) cot terms
     x, xi = np.random.default_rng(18).uniform(0.001, 0.999, (2, 400))
     k = kern.regular_part(x, xi)
     gap = np.abs(kern.regular_part(1.0 - x, 1.0 - xi) + k)

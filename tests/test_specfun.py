@@ -7,28 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fixsing.specfun import (pochhammer, chebyshev_T, chebyshev_U,
-                             hyp3F2_terminating, jacobi_chebyshev_integral_T,
+from fixsing.specfun import (chebyshev_T, chebyshev_U, hyp3F2_terminating,
+                             jacobi_chebyshev_integral_T,
                              jacobi_chebyshev_integral_U)
-
-
-def test_pochhammer_trivials():
-    assert pochhammer(0.5, 0) == 1.0
-    assert pochhammer(-1.0, 1) == -1.0
-    assert pochhammer(0.5, 2) == pytest.approx(0.75, abs=0)
-
-
-def test_pochhammer_recurrence():
-    rng = np.random.default_rng(3)
-    for a in rng.uniform(-3, 3, 8):
-        for m in range(6):
-            assert pochhammer(a, m + 1) == pytest.approx(
-                pochhammer(a, m) * (a + m), rel=1e-15)
-
-
-def test_pochhammer_rejects_negative_shift():
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
 
 
 def test_chebyshev_T_values():

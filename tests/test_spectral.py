@@ -109,7 +109,9 @@ def test_top_coefficient_is_single_term():
     # c_jj = (-j-1)_{j+1} (j+1)_{j+1} / ((1/2)_{j+1} (j+1)!) / (2 sin pi a)
     # = -(-4)^j / sin(pi a), which is (-2)^j times the leading coefficient
     # in zeta = 1 - 2S of the U-series, read at a large zeta
-    from fixsing.specfun import pochhammer
+    def pochhammer(a, m):
+        return math.prod(a + k for k in range(m))
+
     alpha = build_basis(0.5, 6).rho1
     table = _mp_monomial_table(alpha, 6)
     zeta = 1e8
