@@ -65,7 +65,7 @@ def _merged(args):
     """Flag values on top of config-file values, with type coercion."""
     merged = dict(_read_config_file(args.config)) if args.config else {}
     for key in ("beta", "lam", "nu1", "nu2", "G1", "G2", "load", "amplitude",
-                "N", "t1", "t2", "m0", "grid", "nodes"):
+                "N", "t1", "t2", "m0", "grid"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key if key != "lam" else "lambda"] = val

@@ -137,31 +137,39 @@ def solvability_weight(regime: Regime, x):
     return out if x.ndim else float(out)
 
 
+def _tan_weight_rule(e: float, nodes: int):
+    """Nodes [y, 1 - y] and weights w: int_0^1 tan^e(pi y/2) g(y) dy is
+    sum(w g(y)) / 2, and the tan^-e integral is the same sum at 1 - y.
+
+    tan^e(pi y/2) = y^e (1 - y)^-e h(y) with h = (sinc(y/2) / sinc((1-y)/2))^e
+    analytic on [0, 1] (nearest singularities at y = -1 and y = 2), so w is
+    h times a Gauss-Jacobi rule of max(nodes // 16, 8) points in t = 2y - 1
+    with weight (1 - t)^-e (1 + t)^e, which carries the end powers exactly:
+    the sum converges geometrically for g analytic on [0, 1].
+    """
+    t, w = gauss_jacobi(max(nodes // 16, 8), -e, e)
+    y, y_bar = (1.0 + t) / 2.0, (1.0 - t) / 2.0
+    h = (np.sinc(y / 2.0) / np.sinc(y_bar / 2.0)) ** e
+    return np.concatenate([y, y_bar]), w * h
+
+
 def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     """Quadrature value of int_0^1 V(x) f(x) dx; zero signals solvability.
 
     For |beta| < 1, V = s (tan^e + cot^e)(pi x/2) with e = 2 rho1 - 1 and
     s = 1 (s = 1/2 at beta = 0, where e = 1/2).  Reflecting the cot^e half
-    about x = 1/2 leaves s int tan^e(pi y/2) [f(y) + f(1 - y)] dy, and
-    tan^e(pi y/2) = y^e (1 - y)^-e h(y) with h = (sinc(y/2) / sinc((1-y)/2))^e
-    analytic on [0, 1] (nearest singularities at y = -1 and y = 2).  One
-    Gauss-Jacobi rule in t = 2y - 1 with weight (1 - t)^-e (1 + t)^e carries
-    the end powers exactly, so the rule converges geometrically for data
-    analytic on [0, 1]; f is evaluated once, on 2 * max(nodes // 16, 8)
-    points (64 at the default budget).  The oscillatory regimes |beta| > 1
-    use the log-tangent rule in x.
+    about x = 1/2 leaves s int tan^e(pi y/2) [f(y) + f(1 - y)] dy, one sum on
+    `_tan_weight_rule` (f is evaluated once, 64 times at the default budget).
+    The oscillatory regimes |beta| > 1 use the log-tangent rule in x.
     """
     kind = regime.kind
     if kind is RegimeKind.MINUS_ONE:
         return 0.0
     if kind in (RegimeKind.ZERO, RegimeKind.INSIDE_UNIT):
-        e = regime.weight_exponent
-        t, w = gauss_jacobi(max(nodes // 16, 8), -e, e)
-        y, y_bar = (1.0 + t) / 2.0, (1.0 - t) / 2.0
-        h = (np.sinc(y / 2.0) / np.sinc(y_bar / 2.0)) ** e
-        vals = values_at(f, np.concatenate([y, y_bar]))
+        ys, w = _tan_weight_rule(regime.weight_exponent, nodes)
+        vals = values_at(f, ys)
         scale = 0.25 if kind is RegimeKind.ZERO else 0.5
-        return scale * float(np.dot(w * h, vals[:len(y)] + vals[len(y):]))
+        return scale * float(np.dot(w, vals[:len(w)] + vals[len(w):]))
     if kind is RegimeKind.PLUS_ONE:
         x, w = graded_rule(nodes)
         return float(np.dot(w, values_at(f, x)))
@@ -175,7 +183,7 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     return float(np.dot(w, v * values_at(f, xi)))
 
 
-def solvability_residual(regime: Regime, f, nodes: int = 256) -> float:
+def solvability_residual(regime: Regime, f, nodes: int) -> float:
     """Relative size |int V f| / int V |f| used to gate the inverse."""
     if regime.kind is RegimeKind.MINUS_ONE:
         return 0.0
@@ -228,31 +236,22 @@ def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
 
 
 def _inverse_inside_unit(e: float, f, xs, nodes: int):
-    """Inverse for |beta| < 1 by exact Gauss-Jacobi subtraction.
+    """Inverse for |beta| < 1 on the solvability functional's rule.
 
-    With T = tan(pi x/2) and zeta = cos(pi x), the inverse splits into two
-    Jacobi-weighted finite Hilbert transforms,
-
-      phi(x) = (sin pi x / 2) [T^-e I_plus(zeta) + T^e I_minus(zeta)],
-      I_pm = (1/pi) pv-int (1-h)^((pm e - 1)/2) (1+h)^((mp e - 1)/2)
-                     f~(h) / (h - zeta) dh,
-
-    and after subtracting f~(zeta) the two compensator transforms of the
-    bare weights cancel exactly, leaving polynomial-exact Gauss-Jacobi
-    sums.  (The beta = 0 inverse is this formula at e = 1/2.)
+    With T = tan(pi x/2) and D(y) = (f(y) - f(x)) / (cos pi y - cos pi x),
+    phi(x) = (sin pi x / 2) [T^-e int tan^e(pi y/2) D(y) dy
+                             + T^e int tan^-e(pi y/2) D(y) dy]:
+    subtracting f(x) is exact, as the bare weights' compensators cancel.
+    Both integrals are sums on `_tan_weight_rule`, so f is sampled where
+    the functional samples it.  D has poles at y = -x and y = 2 - x, so
+    convergence slows within about 1e-3 of an end.  (At beta = 0, e = 1/2.)
     """
-    n = min(max(nodes // 2, 16), 256)
-    zeta = np.cos(np.pi * xs)
-    fz = values_at(f, xs)
-    parts = []
-    for sign in (+1.0, -1.0):
-        a = (sign * e - 1.0) / 2.0
-        h, w = gauss_jacobi(n, a, -1.0 - a)
-        num = values_at(f, np.arccos(h) / np.pi)[None, :] - fz[:, None]
-        parts.append(safe_ratio(num, h[None, :] - zeta[:, None]) @ w)
+    ys, w = _tan_weight_rule(e, nodes)
+    num = values_at(f, ys)[None, :] - values_at(f, xs)[:, None]
+    den = np.cos(np.pi * ys)[None, :] - np.cos(np.pi * xs)[:, None]
+    near, far = (safe_ratio(num, den).reshape(len(xs), 2, len(w)) @ w).T
     t_pow = np.tan(np.pi * xs / 2.0) ** e
-    return np.sin(np.pi * xs) / (2.0 * np.pi) * (parts[0] / t_pow
-                                                 + parts[1] * t_pow)
+    return np.sin(np.pi * xs) / 4.0 * (near / t_pow + far * t_pow)
 
 
 def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
@@ -261,7 +260,9 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
 
     f must be a vectorized callable on [0, 1] satisfying the regime's
     solvability condition; a residual above SOLVABILITY_RTOL on the same
-    nodes triggers a warning, not an error.  For beta < -1 the formula
+    nodes triggers a warning, not an error.  For |beta| < 1 the check and
+    the inverse share one rule, and the inverse converges with `nodes`
+    (slowly within about 1e-3 of an end).  For beta < -1 the formula
     converges only for loads decaying at the oscillatory endpoint; the
     branch's arbitrary additive constant (beta = -1) is fixed to zero.
     """
@@ -281,8 +282,7 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
     if kind in (RegimeKind.PLUS_ONE, RegimeKind.MINUS_ONE):
         vals = _inverse_at_unit_beta(regime, f, xs, nodes)
     elif kind in (RegimeKind.ZERO, RegimeKind.INSIDE_UNIT):
-        e = 0.5 if kind is RegimeKind.ZERO else regime.weight_exponent
-        vals = _inverse_inside_unit(e, f, xs, nodes)
+        vals = _inverse_inside_unit(regime.weight_exponent, f, xs, nodes)
     else:
         vals = _inverse_oscillatory(regime, f, xs, nodes)
     return vals if np.ndim(x) else float(vals[0])

@@ -295,6 +295,85 @@ def test_inverse_forward_roundtrip_at_unit_betas():
         np.testing.assert_allclose(got, f(xs), atol=1e-6)
 
 
+def test_inside_unit_inverse_converges_with_its_budget():
+    # x^2 has nonzero end slopes, which are sqrt(1 -+ zeta) terms in
+    # zeta = cos(pi x): a rule in zeta stalls, one in x converges
+    reg = classify(-1.0 / 3.0)
+    c = (solvability_functional(reg, lambda t: t * t, 4096)
+         / solvability_functional(reg, np.ones_like, 4096))
+
+    def g(t):
+        return t * t - c
+    xs = np.linspace(0.1, 0.9, 5)
+    for nodes, tol in ((512, 5e-6), (2048, 5e-8)):
+        def phi(t):
+            return inverse_characteristic(reg, g, t, nodes=nodes,
+                                          check_solvability=False)
+        got = oracle.apply_S(phi, reg.beta, xs, oracle.PVRule(2048))
+        assert np.max(np.abs(got - g(xs))) <= tol
+
+
+def _inverse_reference(beta, f, x):
+    """The |beta| < 1 closed form to 30 digits, by mpmath quadrature.
+
+    phi(x) = (sin pi x / 2) [T^-e int tan^e(pi y/2) D(y) dy
+                             + T^e int tan^-e(pi y/2) D(y) dy]
+    with T = tan(pi x/2) and D(y) = (f(y) - f(x)) / (cos pi y - cos pi x).
+    Each integral is split at x and taken from the nearer end, in y on
+    [0, x] and in v = 1 - y on [x, 1]; d = u^p with p = 1/(1 - e) makes
+    the end powers d^-e bounded in u.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(30):
+        e = mpf(classify(beta).weight_exponent)
+        p = 1 / (1 - e)
+        x = mpf(x)
+        cx, fx = mp.cos(mp.pi * x), f(x)
+
+        def d(fy, cy):
+            # tanh-sinh nodes may round onto x itself, where D is 0/0
+            return (fy - fx) / (cy - cx) if cy != cx else mpf(0)
+
+        def from_end(g, a):
+            return mp.quad(lambda u: g(u**p) * p * u**(p - 1),
+                           [0, a**(1 / p)])
+
+        parts = []
+        for s in (e, -e):
+            parts.append(
+                from_end(lambda y: mp.tan(mp.pi * y / 2)**s
+                         * d(f(y), mp.cos(mp.pi * y)), x)
+                + from_end(lambda v: mp.cot(mp.pi * v / 2)**s
+                           * d(f(1 - v), -mp.cos(mp.pi * v)), 1 - x))
+        t = mp.tan(mp.pi * x / 2)
+        return float(mp.sin(mp.pi * x) / 2 * (parts[0] / t**e
+                                              + parts[1] * t**e))
+
+
+@pytest.mark.parametrize("beta", [0.5, -0.5, 0.0])
+@pytest.mark.parametrize("power", [2, 3])
+def test_inside_unit_inverse_matches_mpmath_closed_form(beta, power):
+    xs = np.array([0.05, 0.3, 0.7, 0.95])
+    got = inverse_characteristic(classify(beta), lambda t: t**power, xs,
+                                 check_solvability=False)
+    for x, val in zip(xs, got):
+        want = _inverse_reference(beta, lambda t: t**power, x)
+        assert abs(val - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def test_inverse_and_its_check_share_one_rule():
+    from fixsing import _quad
+
+    _quad._gauss_jacobi_cached.cache_clear()
+    # cos(pi x) is odd about x = 1/2 and V is even, so the load is solvable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inverse_characteristic(classify(0.37), lambda t: np.cos(np.pi * t),
+                               np.array([0.2, 0.6]))
+    assert _quad._gauss_jacobi_cached.cache_info().currsize == 1
+
+
 def test_endpoint_asymptotics_table():
     a = endpoint_asymptotics(classify(0.0))
     assert (a.exponent_at_0, a.exponent_at_1) == (0.5, 0.5)
