@@ -29,6 +29,14 @@ def _gauss_cache(order: int):
     return leggauss(order)
 
 
+def _panel_rule(breaks, order: int):
+    """Gauss-Legendre rule of `order` nodes on each panel between breaks."""
+    gx, gw = _gauss_cache(order)
+    h = np.diff(breaks)
+    x = (breaks[:-1, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
+    return x, (0.5 * h[:, None] * gw[None, :]).ravel()
+
+
 def graded_rule(nodes: int = 512, levels: int = 12):
     """Composite Gauss-Legendre rule on [0, 1] graded toward both endpoints.
 
@@ -38,9 +46,14 @@ def graded_rule(nodes: int = 512, levels: int = 12):
 
     Returns (x, w) as flat arrays.
     """
+    check_nodes(nodes)
+    return _graded_rule_cached(int(nodes), int(levels))
+
+
+def check_nodes(nodes: int) -> None:
+    """The one node-budget check of the public entry points."""
     if nodes < 16:
         raise ValueError("need at least 16 nodes")
-    return _graded_rule_cached(int(nodes), int(levels))
 
 
 @lru_cache(maxsize=32)
@@ -52,12 +65,7 @@ def _graded_rule_cached(nodes: int, levels: int):
     # panel midpoint, so subtracted-singularity integrands evaluated at
     # panel-midpoint singular points never hit a node
     order = max(4, (nodes // (len(breaks) - 1)) & ~1)
-    gx, gw = _gauss_cache(order)
-    a = breaks[:-1]
-    h = np.diff(breaks)
-    x = (a[:, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
-    w = (0.5 * h[:, None] * gw[None, :]).ravel()
-    return x, w
+    return _panel_rule(breaks, order)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float):
@@ -161,8 +169,8 @@ def log_tan_rule(nodes: int = 512, smax: float = LOG_TAN_SMAX):
     is below machine precision for integrands centred near s = 0; a wider
     window keeps the default 34 panels' order (and edges, for even smax).
 
-    Returns (s, xi, w) with w the quadrature weights including the
-    sech(s)/pi Jacobian.
+    Returns (s, xi, w) as read-only arrays, w the plain Gauss weights in
+    s: a caller integrating in xi multiplies by the sech(s)/pi Jacobian.
     """
     return _log_tan_rule_cached(int(nodes), float(smax))
 
@@ -171,16 +179,14 @@ def log_tan_rule(nodes: int = 512, smax: float = LOG_TAN_SMAX):
 def _log_tan_rule_cached(nodes: int, smax: float):
     n_panels = max(8, int(smax))
     order = max(6, (nodes // int(LOG_TAN_SMAX)) & ~1)
-    gx, gw = _gauss_cache(order)
-    edges = np.linspace(-smax, smax, n_panels + 1)
-    a = edges[:-1]
-    h = np.diff(edges)
-    s = (a[:, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
-    w = (0.5 * h[:, None] * gw[None, :]).ravel()
-    xi = (2.0 / np.pi) * np.arctan(np.exp(s))
-    # keep the far tail strictly inside (0, 1) after rounding
-    xi = np.minimum(xi, np.nextafter(1.0, 0.0))
-    w = w / (np.pi * np.cosh(s))
+    s, w = _panel_rule(np.linspace(-smax, smax, n_panels + 1), order)
+    # past s ~ 709 exp overflows to inf and arctan takes it to xi = 1
+    with np.errstate(over="ignore"):
+        xi = (2.0 / np.pi) * np.arctan(np.exp(s))
+    # keep the far tails strictly inside (0, 1) after rounding
+    xi = np.clip(xi, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    for arr in (s, xi, w):
+        arr.flags.writeable = False
     return s, xi, w
 
 

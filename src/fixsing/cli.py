@@ -272,10 +272,9 @@ def cmd_verify(args) -> int:
     suites = None
     if args.suite:
         suites = [tok for item in args.suite for tok in item.split(",")]
-    nodes = args.nodes or 512
-    results = verify.run(suites=suites, nodes=nodes)
+    results = verify.run(suites=suites, nodes=args.nodes)
     report = {
-        "nodes": nodes,
+        "nodes": args.nodes,
         "checks": [r.as_dict() for r in results],
         "passed": all(r.passed for r in results),
     }
@@ -318,7 +317,8 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the invariant suites")
     v.add_argument("--suite", action="append",
                    help="suite name(s), repeatable or comma separated")
-    v.add_argument("--nodes", type=int, help="quadrature node budget")
+    v.add_argument("--nodes", type=int, default=512,
+                   help="quadrature node budget")
     v.add_argument("--out", help="output path (default stdout)")
     return parser
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (LOG_TAN_SMAX, gauss_jacobi, graded_rule, log_cot_half,
-                    log_tan_rule, safe_ratio, values_at)
+from ._quad import (LOG_TAN_SMAX, check_nodes, gauss_jacobi, graded_rule,
+                    log_cot_half, log_tan_rule, safe_ratio, values_at)
 
 #: relative size of int V f below which a load counts as solvable
 SOLVABILITY_RTOL = 1e-6
@@ -162,6 +162,7 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     `_tan_weight_rule` (f is evaluated once, 64 times at the default budget).
     The oscillatory regimes |beta| > 1 use the log-tangent rule in x.
     """
+    check_nodes(nodes)
     kind = regime.kind
     if kind is RegimeKind.MINUS_ONE:
         return 0.0
@@ -173,20 +174,18 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     if kind is RegimeKind.PLUS_ONE:
         x, w = graded_rule(nodes)
         return float(np.dot(w, values_at(f, x)))
-    # oscillatory weights: integrate on the log-tangent axis, where the
-    # weight is a plain cosine (times e^{+-s} for beta < -1)
+    # oscillatory weights: a plain cosine (times e^{+-s} for beta < -1) on
+    # the log-tangent axis, whose measure is sech(s) ds / pi
     s, xi, w = log_tan_rule(nodes)
     v = np.cos(2.0 * regime.epsilon * s)
     if kind is RegimeKind.BELOW_MINUS_ONE:
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
         v = v * np.exp(sgn * s)
-    return float(np.dot(w, v * values_at(f, xi)))
+    return float(np.dot(w / (np.pi * np.cosh(s)), v * values_at(f, xi)))
 
 
 def solvability_residual(regime: Regime, f, nodes: int) -> float:
     """Relative size |int V f| / int V |f| used to gate the inverse."""
-    if regime.kind is RegimeKind.MINUS_ONE:
-        return 0.0
     num = abs(solvability_functional(regime, f, nodes))
     den = solvability_functional(
         regime, lambda t: np.abs(np.asarray(f(t))), nodes
@@ -199,40 +198,33 @@ def solvability_residual(regime: Regime, f, nodes: int) -> float:
 
 
 def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
-    """Inverse for |beta| > 1 on the log-tangent axis.
+    """Inverse for |beta| > 1 as a plain sum on the log-tangent axis.
 
-    With s = log tan(pi xi/2) and s_x its value at x, the kernel becomes
-
-        sin(pi x) cos(2 eps (s - s_x)) [e^{+-(s - s_x)}]
-            / (tanh s_x - tanh s),
-
-    a slow cosine with sech-decaying measure; subtraction of
-    sin(pi x) f(x) removes the moving pole (its compensator integral is
-    zero) and the truncated panel rule converges geometrically.  At
-    beta > 1 the integrand decays like e^-|s - s_x|, so the window reaches
-    30 past the outermost s_x; at beta < -1 the load sets the decay.
+    With s = log tan(pi xi/2) and ds = s - s_x, the sin(pi x) prefactor,
+    the kernel's cosh(s_x) cosh(s) and the measure's sech(s)/pi cancel:
+    phi(x) = -(1/pi) int [cos(2 eps ds) [e^{+-ds}] f(xi) - f(x)] / sinh(ds),
+    a slow cosine in s.  Subtracting f(x) removes the moving pole (its
+    compensator integral is zero), so the truncated panel rule converges
+    geometrically.  At beta > 1 the integrand decays like e^-|ds|, so the
+    window reaches 30 past the outermost s_x; beta < -1 needs a decaying load.
     """
     sx = np.log(np.tan(np.pi * xs / 2.0))
     smax = LOG_TAN_SMAX
     if regime.kind is RegimeKind.ABOVE_ONE:
-        # up to 370: past |s_x| = 340 (x ~ 1e-148) cosh(s_x) cosh(s) overflows
-        reach = 2.0 * math.ceil((np.max(np.abs(sx)) + 30.0) / 2.0)
-        smax = min(max(smax, reach), 370.0)
+        smax = max(smax, 2.0 * math.ceil((np.max(np.abs(sx)) + 30.0) / 2.0))
     s, xi, w = log_tan_rule(nodes, smax)
     ds = s[None, :] - sx[:, None]
-    sinx = np.sin(np.pi * xs)[:, None]
     # in place: a widened window must not raise the peak memory
     num = np.cos(2.0 * regime.epsilon * ds)
-    num *= sinx
     if regime.kind is RegimeKind.BELOW_MINUS_ONE:
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
         num *= np.exp(sgn * ds)
     num *= values_at(f, xi)[None, :]
-    num -= sinx * values_at(f, xs)[:, None]
-    # tanh s_x - tanh s = -sinh(ds) / (cosh s_x cosh s); the plain difference
-    # (about 4 x^2 ds) loses its digits and safe_ratio masks it for x < 1e-6
-    num *= np.cosh(sx)[:, None] * np.cosh(s)[None, :]
-    return -safe_ratio(num, np.sinh(ds, out=ds)) @ w
+    num -= values_at(f, xs)[:, None]
+    # past |ds| ~ 710 sinh overflows to inf, where the term is rightly 0
+    with np.errstate(over="ignore"):
+        den = np.sinh(ds, out=ds)
+    return -(safe_ratio(num, den) @ w) / np.pi
 
 
 def _inverse_inside_unit(e: float, f, xs, nodes: int):
@@ -266,6 +258,7 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
     converges only for loads decaying at the oscillatory endpoint; the
     branch's arbitrary additive constant (beta = -1) is fixed to zero.
     """
+    check_nodes(nodes)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise ValueError("the inverse is defined on the open interval (0, 1)")

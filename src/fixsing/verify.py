@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import cauchy, complete, kernels, oracle, regimes, spectral, specfun
-from ._quad import gauss_jacobi, graded_rule
+from ._quad import check_nodes, gauss_jacobi, graded_rule
 
 
 @dataclass(frozen=True)
@@ -305,6 +305,7 @@ _SUITES = {
 
 def run(suites=None, nodes: int = 512):
     """Run the named suites (all by default); returns a list of CheckResult."""
+    check_nodes(nodes)
     names = list(_SUITES) if not suites else list(suites)
     results = []
     for name in names:

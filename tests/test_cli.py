@@ -272,6 +272,12 @@ def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("nodes", ["0", "8", "-4"])
+def test_verify_rejects_a_node_budget_below_16(nodes, capsys):
+    assert main(["verify", "--suite", "specfun", "--nodes", nodes]) == 2
+    assert "need at least 16 nodes" in capsys.readouterr().err
+
+
 def test_antiplane_without_contrast_sweeps(tmp_path):
     code, text = run_csv(tmp_path, ["antiplane", "--lambda", "1", "--N", "5,9"])
     assert code == 0

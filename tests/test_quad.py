@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fixsing._quad import gauss_jacobi
+from fixsing._quad import gauss_jacobi, log_tan_rule
 
 # alpha + beta = -1 throughout the library's closed-form inverses; the
 # endpoint pair puts almost all of the weight next to z = -1.  The last
@@ -81,6 +81,19 @@ def test_rule_is_read_only():
         z[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def test_log_tan_rule_is_read_only_with_plain_gauss_weights():
+    s, xi, w = log_tan_rule(512)
+    for arr in (s, xi, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # panel weights in s sum to the window width 2 * 34
+    assert abs(w.sum() - 68.0) < 1e-12
+    # a window far past exp's range keeps every node inside (0, 1)
+    with np.errstate(over="raise", invalid="raise"):
+        _, far, _ = log_tan_rule(512, 800.0)
+    assert far.min() > 0.0 and far.max() < 1.0
 
 
 @pytest.mark.parametrize("n,alpha,beta", [(0, -0.5, -0.5), (4, -1.0, 0.0),

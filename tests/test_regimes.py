@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixsing.regimes import (Branch, RegimeKind, classify,
                              endpoint_asymptotics, inverse_characteristic,
@@ -467,11 +468,71 @@ def test_widened_oscillatory_window_keeps_the_values_inside():
     widened = inverse_characteristic(reg, f, np.append(mid, 1e-12),
                                      check_solvability=False)
     assert np.max(np.abs(widened[:-1] - alone)) < 1e-14
-    # a point too close to an end for the widest window reads nan, alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        far = inverse_characteristic(reg, f, np.append(mid, 1e-200),
-                                     check_solvability=False)
-    assert np.isnan(far[-1]) and np.all(np.isfinite(far[:-1]))
+    # however close to an end, a point widens the window without overflow
+    far = inverse_characteristic(reg, f, np.append(mid, 1e-200),
+                                 check_solvability=False)
+    assert np.all(np.isfinite(far)) and abs(far[-1]) <= 1e-13
+
+
+ODD_LOADS = [lambda t: np.cos(np.pi * t), lambda t: np.cos(3.0 * np.pi * t),
+             lambda t: t - 0.5]
+
+
+@pytest.mark.parametrize("beta", [1.2, 2.0, 3.5])
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("load", range(len(ODD_LOADS)))
+def test_oscillatory_inverse_is_finite_at_every_interior_double(beta, branch,
+                                                                load):
+    # the linear end decay puts phi below 1e-13 at each point; none of the
+    # far rule's overflows (exp(s), sinh(ds) past 709) may warn
+    xs = np.array([1e-149, 1e-200, 1e-300, 5e-324, 1.0 - 2.0**-53])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = inverse_characteristic(classify(beta, branch),
+                                      ODD_LOADS[load], xs)
+    assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) <= 1e-13
+
+
+def test_below_minus_one_inverse_is_finite_next_to_its_vanishing_end():
+    reg = classify(-2.0, Branch.VANISH_AT_ZERO)
+    base = lambda t: np.sin(np.pi * t) ** 2
+    tilt = lambda t: np.sin(np.pi * t) ** 2 * (t - 0.5)
+    c = -solvability_functional(reg, base) / solvability_functional(reg, tilt)
+    f = lambda t: base(t) * (1.0 + c * (t - 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = inverse_characteristic(reg, f, np.array([1e-300, 5e-324]))
+    assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) <= 1e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(beta=st.floats(1.05, 4.0), a=st.floats(-1.0, 1.0),
+       b=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0),
+       k=st.integers(3, 323))
+def test_oscillatory_inverse_vanishes_linearly_at_both_ends(beta, a, b, c, k):
+    # a load odd about x = 1/2 is solvable for beta > 1, and its solution
+    # decays like the distance to either end
+    f = lambda t: (a * np.cos(np.pi * t) + b * np.cos(3.0 * np.pi * t)
+                   + c * (t - 0.5))
+    x = 10.0 ** -k
+    xs = np.array([x, 1.0 - x] if k <= 15 else [x])
+    vals = inverse_characteristic(classify(beta), f, xs)
+    bound = 20.0 * (abs(a) + abs(b) + abs(c)) * np.minimum(xs, 1.0 - xs)
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.abs(vals) <= bound + 1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+@pytest.mark.parametrize("nodes", [-1, 0, 8, 15])
+def test_node_budget_below_16_raises_in_every_regime(beta, nodes):
+    reg = classify(beta)
+    f = lambda t: np.cos(np.pi * t)
+    with pytest.raises(ValueError, match="need at least 16 nodes"):
+        solvability_functional(reg, f, nodes)
+    for check in (True, False):
+        with pytest.raises(ValueError, match="need at least 16 nodes"):
+            inverse_characteristic(reg, f, 0.3, nodes=nodes,
+                                   check_solvability=check)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, -1.0, 2.0, -2.0])
