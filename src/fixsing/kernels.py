@@ -129,41 +129,51 @@ def antiplane_D(x, beta: float, tol: float = 1e-12):
 #: Horner length of antiplane_R's series, whose ratios on the crack square
 #: are at most 1/9 and 1/16: the tail is below 9^-16 ~ 5e-16 at any beta
 _POWER_TERMS = 16
-#: cap on the coefficient sums, whose m >= 1 terms fall like (2j)^-4 at any
-#: beta (tail below (2e5)^-3/6 ~ 2e-17), and their chunk length
-_COEFF_TERMS, _COEFF_CHUNK = 100_000, 4096
+#: cap on the direct coefficient sums: the m >= 3 terms fall like (2j)^-8
+#: at any beta, so the tail past it is below (401)^-7 ~ 1e-18
+_DIRECT_TERMS = 200
+#: zeta(2..6), and zeta(-n) = -B_(n+1)/(n+1) for n = 0..15 (0 at even n > 0)
+_ZETA = {2: 1.6449340668482264365, 3: 1.2020569031595942854,
+         4: 1.0823232337111381915, 5: 1.0369277551433699263,
+         6: 1.0173430619844491397, 0: -1 / 2, -1: -1 / 12, -3: 1 / 120,
+         -5: -1 / 252, -7: 1 / 240, -9: -1 / 132, -11: 691 / 32760,
+         -13: -1 / 12, -15: 3617 / 8160}
 
 
-def _dilog(z: float) -> float:
-    """Li_2(z) = sum_{k>=1} z^k / k^2, 0 <= z < 1: 60 terms up to z = 1/2,
-    then Li_2(z) = pi^2/6 - ln(z) ln(1 - z) - Li_2(1 - z) (DLMF 25.12.6)."""
-    if z > 0.5:
-        return math.pi**2 / 6 - math.log(z) * math.log(1 - z) - _dilog(1 - z)
-    return math.fsum(z**k / (k * k) for k in range(1, 61))
+def _polylog(s: int, z: float) -> float:
+    """Li_s(z) = sum_{k>=1} z^k / k^s for s in {2, 4, 6}, 0 <= z < 1: 60
+    terms below z = 1/2, else the series in mu = ln z (DLMF 25.12(ii)),
+    sum_k c_k mu^k / k!, c_k = zeta(s-k) but H_(s-1) - ln(-mu) at k = s-1."""
+    if z < 0.5:
+        return math.fsum(z**k / k**s for k in range(1, 61))
+    mu = math.log(z)
+    c = sum(1.0 / k for k in range(1, s)) - math.log(-mu)
+    return math.fsum(mu**k / math.factorial(k) * (
+        c if k == s - 1 else _ZETA.get(s - k, 0.0)) for k in range(s + 16))
 
 
 @lru_cache(maxsize=64)
 def _reflection_rows(beta: float) -> np.ndarray:
     """Read-only rows c_m, c'_m (m < _POWER_TERMS) of antiplane_R, summed
-    to the smaller of the geometric tail count and _COEFF_TERMS.  For
-    beta^2 > 1/2 the m = 0 pair, whose terms fall only like (2j)^-2, comes
-    from Li_2 with b = |beta| (DLMF 25.12; Lewin, Polylogarithms, 1981):
-    c_0 = (Li_2(b) - Li_2(b^2)/4)/b - 1, c'_0 = (Li_2(b^2)/b^2 - 1)/4."""
+    in one pass over the smaller of the geometric tail count and
+    _DIRECT_TERMS, at a cost that does not depend on beta.  Past the cap
+    the slow m <= 2 pairs (terms ~ (2j)^-s, s = 2m + 2) come from Li_s with
+    b = |beta| (Lewin, Polylogarithms, 1981): c'_m = (Li_s(b^2)/b^2 - 1)/2^s
+    and c_m = (Li_s(b) - 2^-s Li_s(b^2))/b - 1."""
     b = abs(beta)
-    b2, rows = b * b, np.zeros((2, _POWER_TERMS))
-    terms = (min(_COEFF_TERMS, math.ceil(math.log(1e-17 * (1.0 - b2))
-                                         / math.log(b2))) if b2 else 0)
-    for start in range(1, terms + 1, _COEFF_CHUNK):
-        j = np.arange(start, min(start + _COEFF_CHUNK, terms + 1))
-        weight = b ** (2.0 * j)
-        for row, den in zip(rows, (2.0 * j + 1.0, 2.0 * j + 2.0)):
-            term, step = weight.copy(), den**-2.0
-            for m in range(_POWER_TERMS):
-                term *= step
-                row[m] += term.sum()
-    if b2 > 0.5:
-        li2 = _dilog(b2)
-        rows[:, 0] = (_dilog(b) - li2 / 4.0) / b - 1.0, (li2 / b2 - 1.0) / 4.0
+    b2 = b * b
+    terms = (math.ceil(math.log(1e-17 * (1.0 - b2)) / math.log(b2))
+             if b2 else 0)
+    j = np.arange(1.0, min(terms, _DIRECT_TERMS) + 1.0)
+    step = np.stack((2.0 * j + 1.0, 2.0 * j + 2.0)) ** -2.0
+    powers = np.cumprod(np.broadcast_to(
+        step[:, None, :], (2, _POWER_TERMS, len(j))), axis=1)
+    rows = (powers * b ** (2.0 * j)).sum(axis=-1)
+    if terms > _DIRECT_TERMS:
+        for m, s in enumerate((2, 4, 6)):
+            li_b2 = _polylog(s, b2)
+            rows[:, m] = ((_polylog(s, b) - li_b2 / 2**s) / b - 1.0,
+                          (li_b2 / b2 - 1.0) / 2**s)
     rows.flags.writeable = False
     return rows
 
@@ -180,8 +190,9 @@ def antiplane_R(x, xi, beta: float):
         c_m = sum_{j>=1} beta^(2j) (2j+1)^(-2m-2),  c'_m the same over 2j+2.
 
     Horner sums both in place with _POWER_TERMS terms of the rows that
-    _reflection_rows builds once per beta, at a cost that does not depend
-    on beta.  Defined on the crack square (|a|, |u| <= 1); +-0 at beta = 0.
+    _reflection_rows builds once per beta; neither the rows nor a sample
+    cost more as beta^2 -> 1.  Defined on the crack square (|a|, |u| <= 1);
+    +-0 at beta = 0.
     """
     a, u = 1.0 - (x + xi), x - xi
     a2, u2 = np.square(a), np.square(u)

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fixsing.kernels import (_TAYLOR_RADIUS, AntiplaneParams, NoBracketError,
-                             PlaneStrainParams, _dilog, antiplane_D,
-                             antiplane_R, antiplane_kernel, cot_gap,
-                             fixed_gap, gamma0_root, lambda_fn,
+                             PlaneStrainParams, _polylog, _reflection_rows,
+                             antiplane_D, antiplane_R, antiplane_kernel,
+                             cot_gap, fixed_gap, gamma0_root, lambda_fn,
                              plane_strain_coeffs, plane_strain_kernel)
 from fixsing.complete import SolveConfig, solve
 from fixsing import cauchy, oracle
@@ -436,14 +437,72 @@ def test_paired_reflection_sums_against_lerch_reference(lam):
     assert np.max(np.abs(got - want)) < 2e-15
 
 
-@pytest.mark.parametrize("z", [1e-3, 0.3, 0.5, 0.5 + 1e-12, 0.9, 1.0 - 1e-12])
+_POLYLOG_Z = [1e-3, 0.3, 0.5, 0.5 + 1e-12, 0.9, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("z", _POLYLOG_Z)
 def test_dilog_against_mpmath(z):
-    # the series below 1/2, the reflection formula above it
+    # the series below 1/2, the expansion in ln z from there on
     from mpmath import mp, mpf, polylog
 
     mp.dps = 30
     want = polylog(2, mpf(z))
-    assert abs(_dilog(z) - want) <= 4e-16 * want
+    assert abs(_polylog(2, z) - want) <= 4e-16 * want
+
+
+@pytest.mark.parametrize("s", [4, 6])
+@pytest.mark.parametrize("z", _POLYLOG_Z)
+def test_polylog_against_mpmath(s, z):
+    from mpmath import mp, mpf, polylog
+
+    mp.dps = 30
+    want = polylog(s, mpf(z))
+    assert abs(_polylog(s, z) - want) <= 4e-16 * want
+
+
+@functools.lru_cache(maxsize=None)
+def _rows_reference(beta):
+    """Rows c_m, c'_m of antiplane_R to 40 digits from their closed forms
+    in Li_s, s = 2m + 2 and b = |beta|, with the digits that the
+    subtractions cancel at small b added."""
+    from mpmath import mp, mpf, polylog
+
+    rows = np.zeros((2, 16))
+    if beta == 0.0:
+        return rows
+    with mp.workdps(40 - 2 * math.floor(math.log10(abs(beta)))):
+        b = abs(mpf(beta))
+        for m in range(16):
+            s = 2 * m + 2
+            li_b2 = polylog(s, b * b)
+            rows[:, m] = (float((polylog(s, b) - li_b2 / 2**s) / b - 1),
+                          float((li_b2 / (b * b) - 1) / 2**s))
+    return rows
+
+
+def _assert_rows_match_reference(beta):
+    got, want = _reflection_rows(beta), _rows_reference(beta)
+    assert np.all(np.isfinite(got))
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 2.5e-15 * scale)
+
+
+# lambda = 19 and 21 lie on either side of the switch from 200 direct
+# terms to the polylogarithms for the m <= 2 pairs
+@pytest.mark.parametrize("lam", [10.0 ** (k / 4) for k in range(-32, 33) if k]
+                         + [19.0, 21.0])
+def test_reflection_rows_against_polylog_reference(lam):
+    _assert_rows_match_reference(AntiplaneParams(lam=lam).beta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(-15.0, 15.0))
+def test_every_stiffness_gives_a_kernel_with_accurate_rows(u):
+    params = AntiplaneParams(lam=10.0 ** u)
+    assume(abs(params.beta) != 1.0)
+    kern = antiplane_kernel(params)
+    assert np.isfinite(kern.regular_part(0.3, 0.6))
+    _assert_rows_match_reference(params.beta)
 
 
 def test_paired_reflection_sums_vanish_without_contrast():

@@ -505,6 +505,22 @@ def test_below_minus_one_inverse_is_finite_next_to_its_vanishing_end():
     assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) <= 1e-13
 
 
+@pytest.mark.parametrize("beta", [-1.7, -2.0, -3.0])
+def test_below_minus_one_inverse_is_finite_at_its_oscillatory_end(beta):
+    # below x ~ 1e-293 the distance ds from s_x to the window passes 709,
+    # where e^{ds} and sinh(ds) alone would overflow
+    reg = classify(beta, Branch.VANISH_AT_ONE)
+    base = lambda t: np.sin(np.pi * t) ** 2
+    tilt = lambda t: np.sin(np.pi * t) ** 2 * (t - 0.5)
+    c = -solvability_functional(reg, base) / solvability_functional(reg, tilt)
+    f = lambda t: base(t) * (1.0 + c * (t - 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = inverse_characteristic(reg, f, np.array([1e-295, 1e-300,
+                                                        5e-324]))
+    assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) <= 10.0
+
+
 @settings(max_examples=50, deadline=None)
 @given(beta=st.floats(1.05, 4.0), a=st.floats(-1.0, 1.0),
        b=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0),
