@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import cauchy, complete, kernels, spectral, verify
+from . import cauchy, complete, kernels, spectral
 from .complete import SolveConfig
 
 LOADS = {
@@ -269,6 +269,7 @@ def cmd_gamma0(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     suites = None
     if args.suite:
         suites = [tok for item in args.suite for tok in item.split(",")]

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ._quad import graded_rule, kernel_grid, values_at
-from .oracle import PVRule, apply_S
+from .oracle import PVRule, apply_K, apply_S
 from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
 
 if TYPE_CHECKING:
@@ -234,20 +234,26 @@ def _chebyshev_points() -> np.ndarray:
     return (1.0 - np.cos(theta)) / 2.0
 
 
-@lru_cache(maxsize=8)
-def _chebyshev_interpolation(t: int) -> np.ndarray:
-    """(t, CHEB_ORDER) barycentric matrix from values at the Chebyshev
-    points to the interpolant at the t midpoints (read-only).  The weights
-    of first-kind points are (-1)^k sin(theta_k) (Berrut and Trefethen,
-    SIAM Review 2004); a midpoint on a Chebyshev point takes its value."""
+def _barycentric(x) -> np.ndarray:
+    """(len(x), CHEB_ORDER) barycentric matrix from values at the Chebyshev
+    points to their interpolant at the points x.  The weights of first-kind
+    points are (-1)^k sin(theta_k) (Berrut and Trefethen, SIAM Review
+    2004); a point on a Chebyshev point takes its value."""
     k = np.arange(CHEB_ORDER)
     weights = (-1.0) ** k * np.sin((2.0 * k + 1.0) * np.pi / (2 * CHEB_ORDER))
-    diff = _midpoints(t)[:, None] - _chebyshev_points()
+    diff = np.asarray(x, dtype=float)[:, None] - _chebyshev_points()
     hit = diff == 0.0
     mat = weights / np.where(hit, 1.0, diff)
     on_node = hit.any(axis=1)
     mat[on_node] = hit[on_node]
     mat /= mat.sum(axis=1, keepdims=True)
+    return mat
+
+
+@lru_cache(maxsize=8)
+def _chebyshev_interpolation(t: int) -> np.ndarray:
+    """The barycentric matrix to the t midpoints (read-only)."""
+    mat = _barycentric(_midpoints(t))
     mat.setflags(write=False)
     return mat
 
@@ -401,13 +407,16 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
 
 
 def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
-    from . import oracle
     from .regimes import classify, solvability_functional
 
     report = solution.residual_report
     xs = np.linspace(0.1, 0.9, 5)
-    res = oracle.full_residual(solution, kernel, F, xs,
-                               oracle.PVRule(PV_NODES))
+    # K[phi] is analytic in x if K is: one exact pass serves both checks
+    sampled = kernel.analytic and isinstance(solution.basis, SpectralBasis)
+    at = np.concatenate([xs, _chebyshev_points()]) if sampled else xs
+    k_phi = apply_K(kernel, solution.evaluate, at, PV_NODES)
+    res = (apply_S(solution.evaluate, kernel.beta, xs, PVRule(PV_NODES))
+           + k_phi[:len(xs)] + values_at(F, xs) - solution.constant_C)
     report["equation_residual_max"] = float(np.max(np.abs(res)))
     if not isinstance(solution.basis, SpectralBasis):
         # the beta = 0 weight functional does not reproduce C (it gives
@@ -419,8 +428,9 @@ def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
     regime = classify(kernel.beta)
 
     def load_plus_k(x):
-        return (values_at(F, x)
-                + oracle.apply_K(kernel, solution.evaluate, x, PV_NODES))
+        k = (_barycentric(x) @ k_phi[len(xs):] if sampled
+             else apply_K(kernel, solution.evaluate, x, PV_NODES))
+        return values_at(F, x) + k
 
     c_reg = (np.sin(np.pi * solution.basis.rho1) / 2.0
              * solvability_functional(regime, load_plus_k, PV_NODES))

@@ -214,8 +214,11 @@ def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
         smax = max(smax, 2.0 * math.ceil((np.max(np.abs(sx)) + 30.0) / 2.0))
     s, xi, w = log_tan_rule(nodes, smax)
     ds = s[None, :] - sx[:, None]
-    # in place: a widened window must not raise the peak memory
-    num = np.cos(2.0 * regime.epsilon * ds)
+    # cos(2 eps ds) as two outer products (angle difference), the rest in
+    # place: a widened window must not raise the peak memory
+    a, ax = 2.0 * regime.epsilon * s, 2.0 * regime.epsilon * sx
+    num = (np.stack([np.cos(ax), np.sin(ax)], axis=1)
+           @ np.stack([np.cos(a), np.sin(a)]))
     # held at |ds| = 350, where each term is exact to rounding (e^{+-ds} /
     # sinh(ds) is +-2 or 0 and 1/sinh(ds) < 2e-152), neither sinh(ds) nor
     # e^{+-ds} f(xi) can overflow at any x for loads below 1e150

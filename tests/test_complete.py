@@ -380,6 +380,62 @@ def test_cross_check_evaluates_k_phi_on_one_64_row_grid():
     assert rows == [5, 64]
 
 
+@pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
+def test_diagnostics_kernel_budget(kind):
+    # an analytic kernel's diagnostics sample K once, on the graded PV rule
+    # at the five residual points and the CHEB_ORDER Chebyshev points; the
+    # plane-strain cross-check keeps its exact pass at the 64 points of the
+    # weight rule
+    base = (antiplane_kernel(AntiplaneParams(lam=0.5)) if kind == "antiplane"
+            else _plane_strain(2.0))
+    points = []
+
+    def counted(x, xi):
+        points.append(np.broadcast(x, xi).size)
+        return base.regular_part(x, xi)
+
+    kern = dataclasses.replace(base, regular_part=counted)
+    counts = []
+    for diagnostics in (False, True):
+        complete._kernel_tensor.cache_clear()
+        complete._kernel_grid.cache_clear()
+        points.clear()
+        solve(kern, lambda x: x, SolveConfig(N=9, t1=60, t2=64),
+              diagnostics=diagnostics)
+        counts.append(sum(points))
+    width = len(complete.graded_rule(complete.PV_NODES)[0])
+    if kind == "antiplane":
+        assert kern.analytic
+        assert counts[1] - counts[0] <= (5 + complete.CHEB_ORDER) * width
+    else:
+        assert counts[1] - counts[0] == (5 + 64) * width
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.1, 0.5, 10.0, 1e4])
+def test_interpolated_cross_check_matches_the_exact_one(lam):
+    # the reported gap comes from K[phi] interpolated from the Chebyshev
+    # points; the referee applies the exact kernel at the weight rule's
+    # points.  These loads have a gap from 1e-6 (lambda = 1e4) to 6e-3
+    # (lambda = 1e-4) at N = 17, so a wrong interpolant shows
+    from fixsing import oracle
+    from fixsing.regimes import classify, solvability_functional
+
+    kern = antiplane_kernel(AntiplaneParams(lam=lam))
+    for load in (lambda x: x * x / 2.0, lambda x: x ** 3 / 3.0):
+        sol = solve(kern, load)
+
+        def load_plus_k(x):
+            return load(x) + oracle.apply_K(kern, sol.evaluate, x,
+                                            complete.PV_NODES)
+
+        c_reg = (np.sin(np.pi * sol.basis.rho1) / 2.0
+                 * solvability_functional(classify(kern.beta), load_plus_k,
+                                          complete.PV_NODES))
+        gap = sol.residual_report["regularization_constant_gap"]
+        assert gap > 1e-7
+        assert gap == pytest.approx(abs(c_reg - sol.constant_C), abs=1e-14)
+
+
 @pytest.mark.parametrize("kern", [
     antiplane_kernel(AntiplaneParams(lam=3.0)), _plane_strain(2.0)],
     ids=["antiplane", "plane-strain"])
