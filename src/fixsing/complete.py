@@ -128,11 +128,13 @@ class SolveConfig:
                              "(t1 to avoid cosine aliasing)")
 
 
+@lru_cache(maxsize=32)
 def corner_functions(power: float):
     """Trial functions sin(pi x)^p and sin(pi x)^p cos(pi x).
 
     Both behave like x^p at 0 and like (1 - x)^p at 1; the first is even
     and the second odd about x = 1/2.  Both vanish exactly at the ends.
+    One pair per power serves every Solution that carries it.
     """
     def even(x):
         x = np.asarray(x, dtype=float)
@@ -150,8 +152,8 @@ class Solution:
 
     The result of every solver: basis is a SpectralBasis, or a CauchyBasis
     on the beta = 0 route; config is None unless solve made it.
-    corner_coeffs holds the weights of the corner trial functions with
-    power 2 rho1 (empty unless the kernel has homogeneous corners).
+    corner_coeffs holds the weights of extra_functions, the trial functions
+    added to the basis (the corner functions for homogeneous corners).
     """
 
     basis: SpectralBasis | CauchyBasis
@@ -160,14 +162,13 @@ class Solution:
     config: SolveConfig | None = None
     residual_report: dict = field(default_factory=dict)
     corner_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    extra_functions: tuple = ()
 
     def evaluate(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         vals = self.b @ self.basis.phi_matrix(x_arr)[: len(self.b)]
-        if len(self.corner_coeffs):
-            fns = corner_functions(2.0 * self.basis.rho1)
-            vals = vals + sum(c * g(x_arr)
-                              for c, g in zip(self.corner_coeffs, fns))
+        vals = vals + sum(c * g(x_arr) for c, g in
+                          zip(self.corner_coeffs, self.extra_functions))
         return vals if np.ndim(x) else float(vals[0])
 
 
@@ -366,7 +367,8 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
     else:
         solution = _galerkin_solve(kernel, F, config)
     if diagnostics:
-        _attach_diagnostics(solution, kernel, F)
+        solution = replace(solution, residual_report={
+            **solution.residual_report, **_diagnostics(solution, kernel, F)})
     return solution
 
 
@@ -374,15 +376,15 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
     """The spectral route of solve, without diagnostics."""
     rows = config.N - 1
     basis = build_basis(kernel.beta, max(rows, 1))
-    extra = (corner_functions(2.0 * basis.rho1)
-             if kernel.homogeneous_corners else ())
+    extra, images = ((corner_functions(2.0 * basis.rho1),
+                      _corner_images(kernel.beta, 2.0 * basis.rho1))
+                     if kernel.homogeneous_corners else ((), ()))
     f = fourier_load_coeffs(F, config.t1, rows + len(extra))
     k = kernel_matrix(kernel, basis, config, rows, extra)
     if extra:
-        # the unused column phi_rows goes; the corner columns gain the
+        # the unused column phi_rows goes; the extra columns gain the
         # cosine moments of their S-images
         k = np.delete(k, rows, axis=1)
-        images = _corner_images(kernel.beta, 2.0 * basis.rho1)
         k[:, rows:] += (_interpolant_cosine_moments(len(k), config.t1)
                         @ images.T)
     n_unknowns = rows + len(extra)
@@ -403,13 +405,12 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
 
     return Solution(basis=basis, b=coeffs[:rows], constant_C=c,
                     config=config, residual_report=report,
-                    corner_coeffs=coeffs[rows:])
+                    corner_coeffs=coeffs[rows:], extra_functions=extra)
 
 
-def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
+def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
     from .regimes import classify, solvability_functional
 
-    report = solution.residual_report
     xs = np.linspace(0.1, 0.9, 5)
     # K[phi] is analytic in x if K is: one exact pass serves both checks
     sampled = kernel.analytic and isinstance(solution.basis, SpectralBasis)
@@ -417,11 +418,11 @@ def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
     k_phi = apply_K(kernel, solution.evaluate, at, PV_NODES)
     res = (apply_S(solution.evaluate, kernel.beta, xs, PVRule(PV_NODES))
            + k_phi[:len(xs)] + values_at(F, xs) - solution.constant_C)
-    report["equation_residual_max"] = float(np.max(np.abs(res)))
+    report = {"equation_residual_max": float(np.max(np.abs(res)))}
     if not isinstance(solution.basis, SpectralBasis):
-        # the beta = 0 weight functional does not reproduce C (it gives
-        # 0.25 against C = 0.5 for F = x), so the cross-check is spectral
-        return
+        # the beta = 0 weight is half the beta -> 0 limit of tan^e + cot^e:
+        # the cross-check would need a factor 2 here, so it stays spectral
+        return report
 
     # cross-check of C through the regularization constant: C equals the
     # weight functional of F + K[phi]
@@ -435,3 +436,4 @@ def _attach_diagnostics(solution: Solution, kernel: KernelSpec, F):
     c_reg = (np.sin(np.pi * solution.basis.rho1) / 2.0
              * solvability_functional(regime, load_plus_k, PV_NODES))
     report["regularization_constant_gap"] = abs(c_reg - solution.constant_C)
+    return report

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (graded_rule, kernel_grid, log_cot_half, safe_ratio,
-                    values_at)
+from ._quad import (check_nodes, graded_rule, kernel_grid, log_cot_half,
+                    safe_ratio, values_at)
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class PVRule:
     nodes: int = 512
 
     def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError("need at least 16 nodes")
+        check_nodes(self.nodes)
 
 
 def apply_S(phi, beta: float, x, rule: PVRule | None = None):

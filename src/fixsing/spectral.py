@@ -67,7 +67,6 @@ class SpectralBasis:
     its own.  Immutable; safe to share across threads.
     """
 
-    beta: float
     rho1: float
     max_degree: int
 
@@ -95,8 +94,7 @@ class SpectralBasis:
                 + c ** (1.0 - r) * s ** r * _q_rows(1.0 - r, degree, zeta))
 
 
-def basis_from_rho1(rho1: float, max_degree: int, beta: float = float("nan")
-                    ) -> SpectralBasis:
+def basis_from_rho1(rho1: float, max_degree: int) -> SpectralBasis:
     """Build the basis directly from rho1 in (1/2, 1).
 
     Mainly for the rho1 = 3/4 limit state, which the beta-keyed constructor
@@ -104,7 +102,7 @@ def basis_from_rho1(rho1: float, max_degree: int, beta: float = float("nan")
     """
     if not 0.5 < rho1 < 1.0:
         raise ValueError("rho1 must lie in (1/2, 1)")
-    return SpectralBasis(beta=beta, rho1=rho1, max_degree=max_degree)
+    return SpectralBasis(rho1=rho1, max_degree=max_degree)
 
 
 def build_basis(beta: float, max_degree: int) -> SpectralBasis:
@@ -123,7 +121,7 @@ def build_basis(beta: float, max_degree: int) -> SpectralBasis:
             f"the spectral basis exists for 0 < |beta| < 1, not beta = {beta}")
     from .regimes import classify
 
-    return basis_from_rho1(classify(beta).rho1, max_degree, beta=beta)
+    return basis_from_rho1(classify(beta).rho1, max_degree)
 
 
 def N_coeff(basis: SpectralBasis, j: int) -> float:

@@ -278,6 +278,68 @@ def test_verify_rejects_a_node_budget_below_16(nodes, capsys):
     assert "need at least 16 nodes" in capsys.readouterr().err
 
 
+_VERIFY_CHECKS = {
+    "specfun": ["chebyshev-recurrence", "jacobi-integral-first-kind",
+                "jacobi-integral-second-kind", "weight-moment-tie"],
+    "regimes": ["rho1-continuity-at-zero", "weight-symmetry",
+                "weight-functional-mass", "inverse-forward-roundtrip",
+                "endpoint-exponent-fit"],
+    "spectral": ["spectral-relation", "parity-orthogonality", "root-count",
+                 "linear-load-reference-value", "linear-load-constant",
+                 "moment-recurrence-vs-sum"],
+    "cauchy": ["weighted-transform-identity", "characteristic-roundtrip",
+               "inverse-of-constant"],
+    "complete": ["characteristic-equivalence", "linearity",
+                 "antiplane-reference-value", "solvability-identity"],
+    "kernels": ["homogeneous-exponent", "homogeneous-effective-beta",
+                "exponent-equation-residual", "exponent-monotone-in-stiffness",
+                "reflection-series-tail-bound", "paired-reflection-sums",
+                "opening-decreases-with-stiffness"],
+}
+
+
+def test_verify_runs_every_suite_at_the_default_budget(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["nodes"] == 512 and report["passed"] is True
+    got = {}
+    for check in report["checks"]:
+        assert check["passed"] is True, check
+        got.setdefault(check["suite"], []).append(check["name"])
+    assert list(got.items()) == list(_VERIFY_CHECKS.items())
+
+
+def test_antiplane_shear_moduli_give_their_ratio(tmp_path):
+    common = ["--N", "9", "--grid", "5"]
+    _, moduli = run_csv(tmp_path, ["antiplane", "--G1", "1", "--G2", "2"]
+                        + common, name="moduli.csv")
+    _, ratio = run_csv(tmp_path, ["antiplane", "--lambda", "0.5"] + common,
+                       name="ratio.csv")
+    assert moduli == ratio
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "specify lambda or the pair G1, G2"),
+    (["--G1", "1"], "missing required parameter 'G2'"),
+    (["--G1", "1", "--G2", "0"], "shear modulus G2 must be nonzero"),
+], ids=["neither", "G1-alone", "G2-zero"])
+def test_antiplane_needs_a_stiffness_contrast(args, message, capsys):
+    assert main(["antiplane"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_gamma0_without_lambda_prints_the_default_grid(tmp_path):
+    code, text = run_csv(tmp_path, ["gamma0"])
+    assert code == 0
+    _, header, rows = parse_csv(text)
+    assert header == ["lambda", "gamma0", "beta_eff"]
+    np.testing.assert_allclose(rows[:, 0], np.logspace(-2.0, 2.0, 25),
+                               rtol=1e-6)
+
+
 def test_antiplane_without_contrast_sweeps(tmp_path):
     code, text = run_csv(tmp_path, ["antiplane", "--lambda", "1", "--N", "5,9"])
     assert code == 0

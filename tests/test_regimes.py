@@ -563,3 +563,23 @@ def test_scalar_load_is_broadcast(beta):
         got = inverse_characteristic(reg, const, xs)
         want = inverse_characteristic(reg, full, xs)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("beta", [-1.7, -2.0, -3.0])
+@pytest.mark.parametrize("branch", list(Branch))
+def test_functional_below_minus_one_integrates_the_weight(beta, branch):
+    from scipy.integrate import quad
+
+    reg = classify(beta, branch)
+    f = lambda t: np.sin(np.pi * t) ** 2 * (1.0 + t)
+    want, _ = quad(lambda t: solvability_weight(reg, t) * f(t), 0.0, 1.0,
+                   epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert abs(solvability_functional(reg, f) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("beta, exponent", [(1.0, 1.0), (-1.0, 0.0)])
+def test_endpoint_asymptotics_at_unit_betas(beta, exponent):
+    a = endpoint_asymptotics(classify(beta))
+    assert (a.exponent_at_0, a.exponent_at_1) == (exponent, exponent)
+    assert not a.oscillatory_at_0 and not a.oscillatory_at_1
+    assert a.log_frequency == 0.0
