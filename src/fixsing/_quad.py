@@ -24,14 +24,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-@lru_cache(maxsize=64)
-def _gauss_cache(order: int):
-    return leggauss(order)
-
-
 def _panel_rule(breaks, order: int):
     """Gauss-Legendre rule of `order` nodes on each panel between breaks."""
-    gx, gw = _gauss_cache(order)
+    gx, gw = leggauss(order)
     h = np.diff(breaks)
     x = (breaks[:-1, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
     return x, (0.5 * h[:, None] * gw[None, :]).ravel()
@@ -219,7 +214,10 @@ def safe_ratio(num, den, tol: float = 1e-13):
 
     The one removable-singularity mask of the package: callers divide at a
     moving pole where num, or a factor the ratio is later multiplied by,
-    vanishes as well, so the masked entries contribute nothing.
+    vanishes as well.  The masked entry's true value is the finite limit
+    there, r(x) f'(x) for a subtracted f and a pole factor r, not zero, so
+    a principal-value sum taken at a point x on one of its nodes is off by
+    that node's weight times the limit (an O(w) error, not a rounding).
     """
     tiny = np.abs(den) < tol
     if not tiny.any():

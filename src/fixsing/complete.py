@@ -47,6 +47,7 @@ import numpy as np
 
 from ._quad import graded_rule, kernel_grid, values_at
 from .oracle import PVRule, apply_K, apply_S
+from .regimes import classify, solvability_functional
 from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
 
 if TYPE_CHECKING:
@@ -409,8 +410,6 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
 
 
 def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
-    from .regimes import classify, solvability_functional
-
     xs = np.linspace(0.1, 0.9, 5)
     # K[phi] is analytic in x if K is: one exact pass serves both checks
     sampled = kernel.analytic and isinstance(solution.basis, SpectralBasis)

@@ -48,7 +48,8 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
     phixi = values_at(phi, xi)
 
     dmov = np.tan(np.pi * (xi[None, :] - xs[:, None]) / 2.0)
-    # the pole entries are zeroed; diff vanishes there
+    # the pole entries are zeroed, though kern * diff has a finite limit
+    # there (see safe_ratio)
     kern = safe_ratio(0.5, dmov)
     kern += beta * 0.5 / np.tan(np.pi * (xi[None, :] + xs[:, None]) / 2.0)
     diff = phixi[None, :] - phix[:, None]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (LOG_TAN_SMAX, check_nodes, gauss_jacobi, graded_rule,
-                    log_cot_half, log_tan_rule, safe_ratio, values_at)
+from ._quad import (LOG_TAN_SMAX, check_nodes, gauss_jacobi, log_tan_rule,
+                    safe_ratio, values_at)
 
 #: relative size of int V f below which a load counts as solvable
 SOLVABILITY_RTOL = 1e-6
@@ -51,7 +51,8 @@ class Regime:
 
     delta and rho1 are set for |beta| < 1 (rho1 also at beta = 0, where it
     equals 3/4); epsilon is the logarithmic frequency parameter for
-    |beta| > 1; branch selects the solution class for beta < -1.
+    |beta| >= 1 (0 at beta = +-1); branch selects the solution class for
+    beta < -1.
     """
 
     beta: float
@@ -94,12 +95,10 @@ def classify(beta: float, branch: Branch = Branch.VANISH_AT_ZERO) -> Regime:
         rho1 = 0.5 + delta / 2.0 if beta > 0.0 else 1.0 + delta / 2.0
         return Regime(beta, RegimeKind.INSIDE_UNIT, delta=delta, rho1=rho1,
                       branch=branch)
-    if beta == 1.0:
-        return Regime(beta, RegimeKind.PLUS_ONE, branch=branch)
-    if beta == -1.0:
-        return Regime(beta, RegimeKind.MINUS_ONE, branch=branch)
     eps = math.log(abs(beta) + math.sqrt(beta * beta - 1.0)) / (2.0 * math.pi)
     kind = RegimeKind.ABOVE_ONE if beta > 1.0 else RegimeKind.BELOW_MINUS_ONE
+    if abs(beta) == 1.0:
+        kind = RegimeKind.PLUS_ONE if beta > 0.0 else RegimeKind.MINUS_ONE
     return Regime(beta, kind, epsilon=eps, branch=branch)
 
 
@@ -108,10 +107,10 @@ def solvability_weight(regime: Regime, x):
 
     Rows by regime: (sin pi x)^(-1/2) cos(pi x/2 - pi/4) at beta = 0;
     tan^e(pi x/2) + cot^e(pi x/2) with e = 2 rho1 - 1 for 0 < |beta| < 1;
-    cos(2 eps log tan(pi x/2)) for beta > 1; the branch-dependent
-    tan^{+-1}(pi x/2) cos(2 eps log tan(pi x/2)) for beta < -1.
-    The degenerate ends: V = 1 at beta = 1 (plain mean-zero condition) and
-    V = 0 at beta = -1 (no condition; solution defined up to a constant).
+    cos(2 eps log tan(pi x/2)) for beta >= 1, which is V = 1 (the plain
+    mean-zero condition) at beta = 1, where eps = 0; the branch-dependent
+    tan^{+-1}(pi x/2) cos(2 eps log tan(pi x/2)) for beta < -1; V = 0 at
+    beta = -1 (no condition; solution defined up to a constant).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or np.any(x >= 1.0):
@@ -124,14 +123,12 @@ def solvability_weight(regime: Regime, x):
         e = regime.weight_exponent
         t = np.tan(half)
         out = t**e + t**(-e)
-    elif kind is RegimeKind.ABOVE_ONE:
+    elif kind in (RegimeKind.ABOVE_ONE, RegimeKind.PLUS_ONE):
         out = np.cos(2.0 * regime.epsilon * np.log(np.tan(half)))
     elif kind is RegimeKind.BELOW_MINUS_ONE:
         t = np.tan(half)
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
         out = t**sgn * np.cos(2.0 * regime.epsilon * np.log(t))
-    elif kind is RegimeKind.PLUS_ONE:
-        out = np.ones_like(x)
     else:  # MINUS_ONE: always solvable
         out = np.zeros_like(x)
     return out if x.ndim else float(out)
@@ -160,7 +157,7 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
     s = 1 (s = 1/2 at beta = 0, where e = 1/2).  Reflecting the cot^e half
     about x = 1/2 leaves s int tan^e(pi y/2) [f(y) + f(1 - y)] dy, one sum on
     `_tan_weight_rule` (f is evaluated once, 64 times at the default budget).
-    The oscillatory regimes |beta| > 1 use the log-tangent rule in x.
+    |beta| >= 1 use the log-tangent rule in x (beta = 1 with V = 1).
     """
     check_nodes(nodes)
     kind = regime.kind
@@ -171,11 +168,8 @@ def solvability_functional(regime: Regime, f, nodes: int = 512) -> float:
         vals = values_at(f, ys)
         scale = 0.25 if kind is RegimeKind.ZERO else 0.5
         return scale * float(np.dot(w, vals[:len(w)] + vals[len(w):]))
-    if kind is RegimeKind.PLUS_ONE:
-        x, w = graded_rule(nodes)
-        return float(np.dot(w, values_at(f, x)))
-    # oscillatory weights: a plain cosine (times e^{+-s} for beta < -1) on
-    # the log-tangent axis, whose measure is sech(s) ds / pi
+    # a plain cosine (times e^{+-s} for beta < -1; 1 at beta = 1) on the
+    # log-tangent axis, whose measure is sech(s) ds / pi
     s, xi, w = log_tan_rule(nodes)
     v = np.cos(2.0 * regime.epsilon * s)
     if kind is RegimeKind.BELOW_MINUS_ONE:
@@ -198,19 +192,25 @@ def solvability_residual(regime: Regime, f, nodes: int) -> float:
 
 
 def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
-    """Inverse for |beta| > 1 as a plain sum on the log-tangent axis.
+    """Inverse for |beta| >= 1 as a plain sum on the log-tangent axis.
 
     With s = log tan(pi xi/2) and ds = s - s_x, the sin(pi x) prefactor,
     the kernel's cosh(s_x) cosh(s) and the measure's sech(s)/pi cancel:
     phi(x) = -(1/pi) int [cos(2 eps ds) [e^{+-ds}] f(xi) - f(x)] / sinh(ds),
     a slow cosine in s.  Subtracting f(x) removes the moving pole (its
     compensator integral is zero), so the truncated panel rule converges
-    geometrically.  At beta > 1 the integrand decays like e^-|ds|, so the
-    window reaches 30 past the outermost s_x; beta < -1 needs a decaying load.
+    geometrically.  beta = +-1 are the eps = 0 cases: the factor is 1 at
+    beta = 1, and at beta = -1 the identity
+    cosh(s_x) / (cosh(s) sinh(ds)) = coth(ds) - tanh(s) gives the mean
+    cosh(ds) of the two factors e^{+-ds} plus the x-independent term
+    -tanh(s) f(xi), which fixes the free additive constant.  Except at
+    beta < -1, which needs a decaying load, the integrand decays like
+    e^-|ds| for any bounded load, so the window reaches 30 past the
+    outermost s_x.
     """
     sx = np.log(np.tan(np.pi * xs / 2.0))
     smax = LOG_TAN_SMAX
-    if regime.kind is RegimeKind.ABOVE_ONE:
+    if regime.kind is not RegimeKind.BELOW_MINUS_ONE:
         smax = max(smax, 2.0 * math.ceil((np.max(np.abs(sx)) + 30.0) / 2.0))
     s, xi, w = log_tan_rule(nodes, smax)
     ds = s[None, :] - sx[:, None]
@@ -226,10 +226,16 @@ def _inverse_oscillatory(regime: Regime, f, xs, nodes: int):
     if regime.kind is RegimeKind.BELOW_MINUS_ONE:
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
         num *= np.exp(sgn * ds)
-    num *= values_at(f, xi)[None, :]
+    elif regime.kind is RegimeKind.MINUS_ONE:
+        num *= np.cosh(ds)
+    fxi = values_at(f, xi)
+    num *= fxi[None, :]
     num -= values_at(f, xs)[:, None]
     den = np.sinh(ds, out=ds)
-    return -(safe_ratio(num, den) @ w) / np.pi
+    vals = -(safe_ratio(num, den) @ w) / np.pi
+    if regime.kind is RegimeKind.MINUS_ONE:
+        vals += np.dot(w, np.tanh(s) * fxi) / np.pi
+    return vals
 
 
 def _inverse_inside_unit(e: float, f, xs, nodes: int):
@@ -260,8 +266,9 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
     nodes triggers a warning, not an error.  For |beta| < 1 the check and
     the inverse share one rule, and the inverse converges with `nodes`
     (slowly within about 1e-3 of an end).  For beta < -1 the formula
-    converges only for loads decaying at the oscillatory endpoint; the
-    branch's arbitrary additive constant (beta = -1) is fixed to zero.
+    converges only for loads decaying at the oscillatory endpoint.  At
+    beta = -1 the solution's free additive constant is the one of the
+    half-cot closed form -(1/2) int [cot(pi(xi-x)/2) + cot(pi(xi+x)/2)] f.
     """
     check_nodes(nodes)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -276,32 +283,11 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
                 stacklevel=2,
             )
 
-    kind = regime.kind
-    if kind in (RegimeKind.PLUS_ONE, RegimeKind.MINUS_ONE):
-        vals = _inverse_at_unit_beta(regime, f, xs, nodes)
-    elif kind in (RegimeKind.ZERO, RegimeKind.INSIDE_UNIT):
+    if regime.kind in (RegimeKind.ZERO, RegimeKind.INSIDE_UNIT):
         vals = _inverse_inside_unit(regime.weight_exponent, f, xs, nodes)
     else:
         vals = _inverse_oscillatory(regime, f, xs, nodes)
     return vals if np.ndim(x) else float(vals[0])
-
-
-def _inverse_at_unit_beta(regime: Regime, f, xs, nodes):
-    """Closed forms at beta = +-1 via the half-cot kernels.
-
-    phi(x) = -(1/2) int [cot(pi(xi-x)/2) -+ cot(pi(xi+x)/2)] f(xi) dxi,
-    with the principal value handled by subtracting f(x) and integrating
-    the cot kernel exactly.
-    """
-    xi, w = graded_rule(nodes)
-    fx, fxi = values_at(f, xs), values_at(f, xi)
-    moving = np.tan(np.pi * (xi[None, :] - xs[:, None]) / 2.0)
-    diff = fxi[None, :] - fx[:, None]
-    pv = safe_ratio(diff, moving) @ w + fx * (2.0 / np.pi) * log_cot_half(xs)
-    half_sum = np.pi * (xi[None, :] + xs[:, None]) / 2.0
-    fixed = np.cos(half_sum) / np.sin(half_sum)
-    sign = -1.0 if regime.kind is RegimeKind.PLUS_ONE else 1.0
-    return -0.5 * (pv + sign * (fixed * fxi[None, :]) @ w)
 
 
 def endpoint_asymptotics(regime: Regime) -> EndpointAsymptotics:

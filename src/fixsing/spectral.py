@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .regimes import classify
 from .specfun import chebyshev_T
 
 
@@ -119,8 +120,6 @@ def build_basis(beta: float, max_degree: int) -> SpectralBasis:
     if not abs(beta) < 1.0:
         raise ValueError(
             f"the spectral basis exists for 0 < |beta| < 1, not beta = {beta}")
-    from .regimes import classify
-
     return basis_from_rho1(classify(beta).rho1, max_degree)
 
 

@@ -322,6 +322,21 @@ def test_empty_truncation_rejects_nonfinite_load():
               SolveConfig(N=1, t1=60, t2=64), diagnostics=False)
 
 
+def test_empty_truncation_solves_to_the_load_mean():
+    # N = 1 leaves an empty system: no coefficients, phi = 0, and C is
+    # the n = 0 moment of the load
+    cfg = SolveConfig(N=1, t1=60, t2=64)
+    sol = solve(antiplane_kernel(AntiplaneParams(lam=0.5)), lambda x: x, cfg)
+    assert sol.b.shape == (0,) and sol.corner_coeffs.shape == (0,)
+    f0 = fourier_load_coeffs(lambda x: x, cfg.t1, 0)[0]
+    assert sol.constant_C == f0 == pytest.approx(0.5, abs=1e-15)
+    assert np.all(sol.evaluate(np.linspace(0.0, 1.0, 11)) == 0.0)
+    report = sol.residual_report
+    assert report["condition_number"] == 1.0
+    assert report["linear_residual"] == 0.0
+    assert all(np.isfinite(v) for v in report.values())
+
+
 def test_truncation_ladder_evaluates_the_solve_grid_once():
     base = antiplane_kernel(AntiplaneParams(lam=0.5))
     t1, t2 = 200, 210

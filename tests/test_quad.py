@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fixsing._quad import gauss_jacobi, log_tan_rule
+from fixsing._quad import gauss_jacobi, log_tan_rule, safe_ratio
 
 # alpha + beta = -1 throughout the library's closed-form inverses; the
 # endpoint pair puts almost all of the weight next to z = -1.  The last
@@ -137,3 +137,18 @@ def test_kernel_grid_matches_unblocked_evaluation():
     assert got.shape == (301, 700)
     assert calls[:-1] == [rows] * (len(calls) - 1) and sum(calls) == 301
     np.testing.assert_array_equal(got, k(*np.ix_(x, xi)))
+
+
+def test_safe_ratio_zeroes_only_the_masked_entries():
+    num = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    den = np.array([[0.5, 0.0, 9e-14], [-1e-13, -2e-14, 4.0]])
+    got = safe_ratio(num, den)
+    want = np.array([[2.0, 0.0, 0.0], [-4e13, 0.0, 1.5]])
+    np.testing.assert_array_equal(got, want)
+    # a scalar numerator broadcasts, and the tolerance is the caller's
+    got = safe_ratio(0.5, den, tol=1e-14)
+    want = np.array([[1.0, 0.0, 0.5 / 9e-14], [-5e12, -2.5e13, 0.125]])
+    np.testing.assert_array_equal(got, want)
+    # with nothing masked it is the plain quotient
+    den = den + 1.0
+    np.testing.assert_array_equal(safe_ratio(num, den), num / den)

@@ -296,6 +296,100 @@ def test_inverse_forward_roundtrip_at_unit_betas():
         np.testing.assert_allclose(got, f(xs), atol=1e-6)
 
 
+def _exp_cos_mean():
+    """int_0^1 e^x cos 3x dx = (e (cos 3 + 3 sin 3) - 1) / 10, as an mpf."""
+    from mpmath import mp
+
+    return (mp.e * (mp.cos(3) + 3 * mp.sin(3)) - 1) / 10
+
+
+def _unit_load(beta):
+    """e^x cos 3x, its mean removed at beta = 1: (numpy, mpmath) callables."""
+    from mpmath import mp
+
+    with mp.workdps(30):
+        mean = _exp_cos_mean() if beta == 1.0 else 0
+    return (lambda t: np.exp(t) * np.cos(3.0 * t) - float(mean),
+            lambda t: mp.exp(t) * mp.cos(3 * t) - mean)
+
+
+def _unit_inverse_reference(beta, f, x):
+    """The beta = +-1 closed form to 30 digits, by mpmath quadrature.
+
+    phi(x) = -(1/2) int [cot(pi(xi-x)/2) -+ cot(pi(xi+x)/2)] f(xi) dxi,
+    the moving pole taken by subtracting f(x), whose principal value is
+    (2/pi) ln cot(pi x/2).  Breaks at x -+ 10^k min(x, 1 - x) resolve the
+    scale x (or 1 - x) of the kernels next to an end.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(30):
+        x = mpf(x)
+        fx, sign = f(x), (-1 if beta == 1.0 else 1)
+
+        def g(xi):
+            # tanh-sinh nodes may round onto x itself, where the limit is
+            # finite and the point has no weight
+            moving = ((f(xi) - fx) * mp.cot(mp.pi * (xi - x) / 2)
+                      if xi != x else 0)
+            return moving + sign * mp.cot(mp.pi * (xi + x) / 2) * f(xi)
+
+        d = min(x, 1 - x)
+        breaks = {mpf(0), x, mpf(1)}
+        breaks |= {y for k in range(20) for y in (x - d * 10**k, x + d * 10**k)
+                   if 0 < y < 1}
+        pv = mp.quad(g, sorted(breaks)) + fx * 2 / mp.pi * mp.log(
+            mp.cot(mp.pi * x / 2))
+        return float(-pv / 2)
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+def test_unit_beta_inverse_matches_mpmath_next_to_the_ends(beta):
+    # at 1 - 1e-8, tan(pi x/2) itself rounds at 1e-8 relative
+    f, f_mp = _unit_load(beta)
+    cases = [(1e-12, 1e-12), (1e-8, 1e-12), (1e-4, 1e-12), (0.3, 1e-12),
+             (1.0 - 1e-4, 1e-12), (1.0 - 1e-8, 1e-9)]
+    xs = np.array([x for x, _ in cases])
+    got = inverse_characteristic(classify(beta), f, xs,
+                                 check_solvability=False)
+    for (x, tol), val in zip(cases, got):
+        want = _unit_inverse_reference(beta, f_mp, x)
+        assert abs(val - want) <= tol * max(1.0, abs(want)), x
+
+
+@pytest.mark.parametrize("beta, tol", [(1.0, 1e-12), (-1.0, 1e-8)])
+@pytest.mark.parametrize("nodes", [512, 768, 1024, 2048])
+def test_unit_beta_roundtrip_at_every_oracle_budget(beta, tol, nodes):
+    # at 1024 nodes the oracle's panels have the inverse's own order
+    f, _ = _unit_load(beta)
+    reg = classify(beta)
+    phi = lambda t: inverse_characteristic(reg, f, t, check_solvability=False)
+    xs = np.linspace(0.2, 0.8, 5)
+    got = oracle.apply_S(phi, beta, xs, oracle.PVRule(nodes))
+    assert np.max(np.abs(got - f(xs))) <= tol
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+def test_unit_beta_inverse_is_finite_at_the_extreme_doubles(beta):
+    f, _ = _unit_load(beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = inverse_characteristic(classify(beta), f,
+                                      np.array([5e-324, 1.0 - 2.0**-53]))
+    assert np.all(np.isfinite(vals))
+
+
+def test_plus_one_functional_matches_mpmath():
+    from mpmath import mp
+
+    reg = classify(1.0)
+    assert abs(solvability_functional(reg, lambda t: t) - 0.5) <= 5e-15
+    with mp.workdps(30):
+        want = float(_exp_cos_mean())
+    got = solvability_functional(reg, lambda t: np.exp(t) * np.cos(3.0 * t))
+    assert abs(got - want) <= 5e-15
+
+
 def test_inside_unit_inverse_converges_with_its_budget():
     # x^2 has nonzero end slopes, which are sqrt(1 -+ zeta) terms in
     # zeta = cos(pi x): a rule in zeta stalls, one in x converges
