@@ -21,12 +21,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 def _panel_rule(breaks, order: int):
-    """Gauss-Legendre rule of `order` nodes on each panel between breaks."""
-    gx, gw = leggauss(order)
+    """Gauss-Legendre (Jacobi 0, 0) rule of `order` nodes on each panel."""
+    gx, gw = _gauss_jacobi_cached(order, 0.0, 0.0)
     h = np.diff(breaks)
     x = (breaks[:-1, None] + 0.5 * h[:, None] * (gx[None, :] + 1.0)).ravel()
     return x, (0.5 * h[:, None] * gw[None, :]).ravel()
@@ -204,9 +203,21 @@ def kernel_grid(k, x, xi) -> np.ndarray:
 
 
 def values_at(f, x) -> np.ndarray:
-    """f(x) as a float array of x's shape; a scalar result is filled out."""
+    """f(x) as a float array of x's shape; a scalar result is filled out.
+    Every load and trial function is sampled here: NaN or inf raises."""
     vals, shape = np.asarray(f(x), dtype=float), np.shape(x)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sampled function values are not finite")
     return vals if vals.shape == shape else np.full(shape, vals)
+
+
+def interior_points(x) -> np.ndarray:
+    """x as a float array of at least one dimension; ValueError unless
+    0 < x < 1 at every point (a NaN point fails too)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xs > 0.0) & (xs < 1.0)):
+        raise ValueError("points must lie in the open interval (0, 1)")
+    return xs
 
 
 def safe_ratio(num, den, tol: float = 1e-13):

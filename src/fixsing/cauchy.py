@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complete
-from ._quad import kernel_grid, safe_ratio, values_at
+from ._quad import interior_points, kernel_grid, safe_ratio, values_at
 from .specfun import chebyshev_T, chebyshev_U, chebyshev_U_rows
 
 
@@ -45,26 +45,15 @@ def cauchy_inverse(F, x, nodes: int = 256):
     vanishes, and the difference quotient is integrated by the
     Gauss-Chebyshev rule, exactly for polynomial F.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0.0) or np.any(xs >= 1.0):
-        raise ValueError("the inverse is defined on the open interval (0, 1)")
-    xi = _chebyshev_midpoints(nodes)
+    xs = interior_points(x)
+    # an even count keeps x = 1/2 off every node: subtracted integrands are
+    # evaluated against arbitrary interior x
+    xi = 0.5 * (1.0 + np.cos(np.pi * complete._midpoints(nodes + nodes % 2)))
     fx = values_at(F, xs)
     num = values_at(F, xi)[None, :] - fx[:, None]
     ratio = safe_ratio(num, xi[None, :] - xs[:, None], tol=1e-14)
     vals = -np.sqrt(xs * (1.0 - xs)) / len(xi) * ratio.sum(axis=1)
     return vals if np.ndim(x) else float(vals[0])
-
-
-def _chebyshev_midpoints(t: int) -> np.ndarray:
-    """Nodes (1 + cos(pi (2l-1)/(2t)))/2, the Gauss-Chebyshev points on (0,1).
-
-    t is bumped to even so x = 1/2 is never a node (subtracted integrands
-    are evaluated against arbitrary interior x).
-    """
-    t = t + (t % 2)
-    return 0.5 * (1.0 + np.cos(np.pi * (2.0 * np.arange(1, t + 1) - 1.0)
-                               / (2.0 * t)))
 
 
 def u_weighted_cauchy_transform(j: int, x, nodes: int = 256):
@@ -130,8 +119,8 @@ def cauchy_solve(K, F, N: int = 16, t1: int = 200, t2: int = 210
     report = {
         "condition_number": cond,
         "linear_residual": linear,
-        # the n = 0 row restates the solvability integral; its residual
-        # under the solved coefficients
+        # the n = 0 row restates the solvability integral and C is taken
+        # from it: exactly 0 by construction; the key mirrors the spectral one
         "solvability_identity": float(abs(f[0] + k[0] @ b - c)),
     }
     return complete.Solution(basis=CauchyBasis(N - 1), b=b, constant_C=c,

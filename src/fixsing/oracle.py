@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (check_nodes, graded_rule, kernel_grid, log_cot_half,
-                    safe_ratio, values_at)
+from ._quad import (check_nodes, graded_rule, interior_points, kernel_grid,
+                    log_cot_half, safe_ratio, values_at)
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
     keeps the fixed-singularity term regular.
     """
     rule = rule or PVRule()
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0.0) or np.any(xs >= 1.0):
-        raise ValueError("the operator is evaluated at interior points")
+    xs = interior_points(x)
     # graded to 2^-24: a 2^-12 end panel does not resolve a bounded phi
     # that log-oscillates at an end, such as every beta < -1 inverse
     xi, w = graded_rule(rule.nodes, levels=24)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import (LOG_TAN_SMAX, check_nodes, gauss_jacobi, log_tan_rule,
-                    safe_ratio, values_at)
+from ._quad import (LOG_TAN_SMAX, check_nodes, gauss_jacobi, interior_points,
+                    log_tan_rule, safe_ratio, values_at)
 
 #: relative size of int V f below which a load counts as solvable
 SOLVABILITY_RTOL = 1e-6
@@ -112,13 +112,11 @@ def solvability_weight(regime: Regime, x):
     tan^{+-1}(pi x/2) cos(2 eps log tan(pi x/2)) for beta < -1; V = 0 at
     beta = -1 (no condition; solution defined up to a constant).
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("weight is defined on the open interval (0, 1)")
-    half = np.pi * x / 2.0
+    xs = interior_points(x)
+    half = np.pi * xs / 2.0
     kind = regime.kind
     if kind is RegimeKind.ZERO:
-        out = np.cos(half - np.pi / 4.0) / np.sqrt(np.sin(np.pi * x))
+        out = np.cos(half - np.pi / 4.0) / np.sqrt(np.sin(np.pi * xs))
     elif kind is RegimeKind.INSIDE_UNIT:
         e = regime.weight_exponent
         t = np.tan(half)
@@ -130,8 +128,8 @@ def solvability_weight(regime: Regime, x):
         sgn = 1.0 if regime.branch is Branch.VANISH_AT_ONE else -1.0
         out = t**sgn * np.cos(2.0 * regime.epsilon * np.log(t))
     else:  # MINUS_ONE: always solvable
-        out = np.zeros_like(x)
-    return out if x.ndim else float(out)
+        out = np.zeros_like(xs)
+    return out if np.ndim(x) else float(out[0])
 
 
 def _tan_weight_rule(e: float, nodes: int):
@@ -271,9 +269,7 @@ def inverse_characteristic(regime: Regime, f, x, nodes: int = 512,
     half-cot closed form -(1/2) int [cot(pi(xi-x)/2) + cot(pi(xi+x)/2)] f.
     """
     check_nodes(nodes)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0.0) or np.any(xs >= 1.0):
-        raise ValueError("the inverse is defined on the open interval (0, 1)")
+    xs = interior_points(x)
     if check_solvability and regime.kind is not RegimeKind.MINUS_ONE:
         res = solvability_residual(regime, f, nodes)
         if res > SOLVABILITY_RTOL:

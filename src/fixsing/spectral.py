@@ -103,6 +103,8 @@ def basis_from_rho1(rho1: float, max_degree: int) -> SpectralBasis:
     """
     if not 0.5 < rho1 < 1.0:
         raise ValueError("rho1 must lie in (1/2, 1)")
+    if max_degree < 0:
+        raise ValueError("the basis degree must be non-negative")
     return SpectralBasis(rho1=rho1, max_degree=max_degree)
 
 

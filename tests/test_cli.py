@@ -259,6 +259,18 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_polynomial():
+    # every Gauss rule is built in-house, so numpy.polynomial stays unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fixsing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fixsing.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith('numpy.polynomial')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_suite_filter(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "specfun", "--out", str(out)])
@@ -391,6 +403,14 @@ def test_integer_list_without_integers_is_a_configuration_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least one integer" in captured.err
+
+
+@pytest.mark.parametrize("m0", ["-1", "-3", "5,-1"])
+def test_negative_basis_degree_is_a_configuration_error(m0, capsys):
+    assert main(["characteristic", "--beta", "0.5", "--m0", m0]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree" in captured.err
 
 
 @pytest.mark.parametrize("args", [

@@ -6,13 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 import fixsing.complete as complete
 from fixsing._quad import _GRID_BLOCK
 from fixsing.complete import (KernelSpec, SingularSystemError, SolveConfig,
                               fourier_load_coeffs, kernel_matrix, solve)
-from fixsing.kernels import AntiplaneParams, antiplane_kernel
+from fixsing.kernels import (AntiplaneParams, antiplane_kernel,
+                             plane_strain_coeffs, plane_strain_kernel)
 from fixsing.oracle import apply_S
 from fixsing.spectral import (SpectralBasis, build_basis,
                               characteristic_series_solve)
@@ -117,6 +119,36 @@ def test_solve_linearity():
     np.testing.assert_allclose(2.0 * s1.b - 3.0 * s2.b, s3.b, atol=1e-10)
     assert 2.0 * s1.constant_C - 3.0 * s2.constant_C == pytest.approx(
         s3.constant_C, abs=1e-10)
+
+
+def _kernel_at(kind, lam):
+    if kind == "antiplane":
+        return antiplane_kernel(AntiplaneParams(lam=lam))
+    return plane_strain_kernel(plane_strain_coeffs(lam, 1.0, 0.3, 0.3))
+
+
+@pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
+@settings(max_examples=20, deadline=None)
+@given(u=st.floats(-4.0, 4.0), a=st.floats(-2.0, 2.0),
+       c=st.floats(-2.0, 2.0))
+def test_solve_is_linear_in_the_load_with_a_finite_report(kind, u, a, c):
+    # every route (Cauchy, spectral, corner functions) is linear in F:
+    # b, the corner weights and C of a x + c x^2/2 combine those of the two
+    # loads; the scale is the uncancelled combination, and products below
+    # the normal range are held to an absolute floor
+    kern = _kernel_at(kind, 10.0 ** u)
+    s1 = solve(kern, lambda x: x, diagnostics=False)
+    s2 = solve(kern, lambda x: x**2 / 2.0, diagnostics=False)
+    s = solve(kern, lambda x: a * x + c * x**2 / 2.0)
+    for one, two, both in ((s1.b, s2.b, s.b),
+                           (s1.corner_coeffs, s2.corner_coeffs,
+                            s.corner_coeffs),
+                           (s1.constant_C, s2.constant_C, s.constant_C)):
+        one, two, both = map(np.atleast_1d, (one, two, both))
+        scale = np.max(np.abs(a * one) + np.abs(c * two), initial=0.0)
+        assert np.max(np.abs(a * one + c * two - both),
+                      initial=0.0) <= 1e-12 * scale + 1e-300
+    assert all(np.isfinite(v) for v in s.residual_report.values())
 
 
 def test_reflection_relabeling():

@@ -1,5 +1,6 @@
 """Gauss-Jacobi rule: exact moment sums, weight invariants, reflection, and
-agreement with scipy's roots_jacobi."""
+agreement with scipy's roots_jacobi; the composite panel rules built on it
+and the interior-point check of the library boundary."""
 
 import math
 from functools import lru_cache
@@ -7,7 +8,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fixsing._quad import gauss_jacobi, log_tan_rule, safe_ratio
+from fixsing import (apply_S, cauchy_inverse, classify,
+                     inverse_characteristic, solvability_weight)
+from fixsing._quad import _panel_rule, gauss_jacobi, log_tan_rule, safe_ratio
 
 # alpha + beta = -1 throughout the library's closed-form inverses; the
 # endpoint pair puts almost all of the weight next to z = -1.  The last
@@ -152,3 +155,51 @@ def test_safe_ratio_zeroes_only_the_masked_entries():
     # with nothing masked it is the plain quotient
     den = den + 1.0
     np.testing.assert_array_equal(safe_ratio(num, den), num / den)
+
+
+def legendre_rule_40_digits(n):
+    """Gauss-Legendre nodes and weights from Newton-polished roots of P_n at
+    40 digits, w = 2 / ((1 - x^2) P_n'(x)^2), ascending in x."""
+    from mpmath import cos, mp, mpf, pi
+
+    mp.dps = 40
+    nodes, weights = [], []
+    for k in range(1, n + 1):
+        x = cos(pi * (k - mpf(1) / 4) / (n + mpf(1) / 2))
+        for _ in range(100):
+            p0, p = mpf(1), x
+            for j in range(2, n + 1):
+                p0, p = p, ((2 * j - 1) * x * p - (j - 1) * p0) / j
+            dp = n * (x * p - p0) / (x * x - 1)
+            step = p / dp
+            x -= step
+            if abs(step) < mpf(10) ** -38:
+                break
+        nodes.append(float(x))
+        weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes[::-1]), np.array(weights[::-1])
+
+
+@pytest.mark.parametrize("order", [10, 14, 20, 24, 40, 84])
+def test_panel_rule_matches_a_40_digit_legendre_rule(order):
+    # the orders of graded_rule and log_tan_rule at the package's budgets;
+    # numpy's leggauss weights miss 1e-13 from order 24 up
+    x, w = _panel_rule(np.array([-1.0, 1.0]), order)
+    xr, wr = legendre_rule_40_digits(order)
+    assert np.max(np.abs(x - xr)) <= 4e-16
+    assert np.max(np.abs(w / wr - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: apply_S(lambda t: np.sin(np.pi * t), 0.5, x),
+    lambda x: solvability_weight(classify(0.5), x),
+    lambda x: inverse_characteristic(classify(0.5), np.sin, x,
+                                     check_solvability=False),
+    lambda x: cauchy_inverse(np.exp, x),
+], ids=["apply_S", "solvability_weight", "inverse_characteristic",
+        "cauchy_inverse"])
+@pytest.mark.parametrize("x", [np.nan, 0.0, 1.0, [0.3, np.nan]],
+                         ids=["nan", "zero", "one", "array-with-nan"])
+def test_points_outside_the_open_interval_are_rejected(fn, x):
+    with pytest.raises(ValueError, match="open interval"):
+        fn(x)

@@ -677,3 +677,20 @@ def test_endpoint_asymptotics_at_unit_betas(beta, exponent):
     assert (a.exponent_at_0, a.exponent_at_1) == (exponent, exponent)
     assert not a.oscillatory_at_0 and not a.oscillatory_at_1
     assert a.log_frequency == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, -1.0, 2.0, -2.0])
+def test_nonfinite_load_raises_from_the_inverse(beta):
+    with pytest.raises(ValueError, match="not finite"):
+        inverse_characteristic(classify(beta), lambda t: np.nan * t,
+                               np.linspace(0.1, 0.9, 5))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, -0.5, 1.0, 2.0, -2.0])
+def test_nonfinite_load_raises_from_the_functional(beta):
+    with pytest.raises(ValueError, match="not finite"):
+        solvability_functional(classify(beta), lambda t: np.nan * t)
+
+
+def test_functional_at_minus_one_does_not_sample_the_load():
+    assert solvability_functional(classify(-1.0), lambda t: np.nan * t) == 0.0
