@@ -121,12 +121,6 @@ def test_solve_linearity():
         s3.constant_C, abs=1e-10)
 
 
-def _kernel_at(kind, lam):
-    if kind == "antiplane":
-        return antiplane_kernel(AntiplaneParams(lam=lam))
-    return plane_strain_kernel(plane_strain_coeffs(lam, 1.0, 0.3, 0.3))
-
-
 @pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
 @settings(max_examples=20, deadline=None)
 @given(u=st.floats(-4.0, 4.0), a=st.floats(-2.0, 2.0),
@@ -136,7 +130,9 @@ def test_solve_is_linear_in_the_load_with_a_finite_report(kind, u, a, c):
     # b, the corner weights and C of a x + c x^2/2 combine those of the two
     # loads; the scale is the uncancelled combination, and products below
     # the normal range are held to an absolute floor
-    kern = _kernel_at(kind, 10.0 ** u)
+    lam = 10.0 ** u
+    kern = (antiplane_kernel(AntiplaneParams(lam=lam)) if kind == "antiplane"
+            else plane_strain_kernel(plane_strain_coeffs(lam, 1.0, 0.3, 0.3)))
     s1 = solve(kern, lambda x: x, diagnostics=False)
     s2 = solve(kern, lambda x: x**2 / 2.0, diagnostics=False)
     s = solve(kern, lambda x: a * x + c * x**2 / 2.0)
