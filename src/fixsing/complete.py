@@ -18,12 +18,12 @@ the n = 0 row then defines C and doubles as the solvability condition,
 to which it is algebraically identical.
 
 Every phi_j carries the two endpoint powers x^(2 - 2 rho1) and x^(2 rho1)
-of the characteristic operator in a ratio fixed by j.  A regular kernel
-that stays homogeneous of degree -1 at the corners (the plane-strain
-remainder) changes the second power of the solution, so its expansion in
-phi_j converges only algebraically.  For such kernels the trial space
-gets two corner functions with the power x^(2 rho1) at both ends, one
-even and one odd about x = 1/2; they free that power at each endpoint.
+of the characteristic operator in a ratio fixed by j.  A corner part of
+the regular kernel, homogeneous of degree -1 at the corners (the
+plane-strain remainder), changes the second power of the solution, so its
+expansion in phi_j converges only algebraically.  The trial space then
+two corner functions with the power x^(2 rho1) at both ends, one even
+and one odd about x = 1/2; they free that power at each endpoint.
 Their images under S are analytic on [0, 1] (see _corner_images): they
 come from the principal-value rule of fixsing.oracle at the CHEB_ORDER
 Chebyshev points and enter the cosine moments through their interpolant.
@@ -31,10 +31,11 @@ The system gains one cosine row per function, and the kernel moments use
 an endpoint-graded rule in xi (see kernel_matrix).
 
 The moments k_{nj} are double midpoint sums over the t1 x t2 grid.  A
-regular part declared analytic on the closed square (the antiplane
-kernel) enters them through its interpolant on a fixed tensor of
-CHEB_ORDER^2 Chebyshev points instead of the grid itself; every other
-kernel is evaluated on the grid.
+regular part declared analytic on the closed square, less any corner
+part, enters them through its interpolant on a fixed tensor of
+CHEB_ORDER^2 Chebyshev points; a corner part is linear in its three
+coefficients, whose lambda-free grids serve every kernel.  Only an
+undeclared kernel is evaluated on the grid.
 """
 
 from __future__ import annotations
@@ -84,24 +85,27 @@ class KernelSpec:
     interior midpoints.  It must be a pure function of (x, xi): solve caches
     the samples of one spec, keyed by the spec itself, and reuses them for
     every truncation order (see _kernel_grid and _kernel_tensor).
-    homogeneous_corners marks a regular part that is homogeneous of degree
-    -1 at both corners; solve then adds the corner trial functions.
-    analytic declares a regular part analytic on a neighbourhood of the
+    corner_form = (c1, c2, c3) states that regular_part contains the corner
+    part _corner_part(c, x, xi), homogeneous of degree -1 at both
+    corners; solve then adds the corner trial functions.  analytic declares
+    regular_part, less that corner part, analytic on a neighbourhood of the
     closed square, so that solve samples it on the CHEB_ORDER^2 Chebyshev
-    tensor instead of the grid; it excludes homogeneous_corners and is
-    never assumed.  The kernel factories of fixsing.kernels build one and
-    declare what holds; so can any caller with its own kernel.
+    tensor instead of the grid; it is never assumed.  The kernel factories
+    of fixsing.kernels build one and declare what holds; so can any caller
+    with its own kernel.
     """
 
     beta: float
     regular_part: Callable
-    homogeneous_corners: bool = False
+    corner_form: tuple | None = None
     analytic: bool = False
 
     def __post_init__(self):
-        if self.analytic and self.homogeneous_corners:
-            raise ValueError("a kernel with homogeneous corners is not "
-                             "analytic on the closed square")
+        if self.corner_form is not None:
+            form = tuple(map(float, self.corner_form))
+            if len(form) != 3 or not np.all(np.isfinite(form)):
+                raise ValueError("corner_form takes three finite coefficients")
+            object.__setattr__(self, "corner_form", form)
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,8 @@ class SolveConfig:
     dense system keeps the cosine rows n = 1 .. N-1 and the basis modes
     j = 0 .. N-2.  Defaults follow the reference setup (N = 17, 200/210
     nodes); unequal t1 and t2 keep the two midpoint grids from sharing
-    nodes.  For kernels with homogeneous corners t2 is the budget of the
-    graded xi-rule.  The principal-value rule of the corner functions'
+    nodes.  For kernels with a corner form t2 is the budget of the graded
+    xi-rule.  The principal-value rule of the corner functions'
     S-images and of the diagnostics has the fixed budget PV_NODES.
     """
 
@@ -154,7 +158,7 @@ class Solution:
     The result of every solver: basis is a SpectralBasis, or a CauchyBasis
     on the beta = 0 route; config is None unless solve made it.
     corner_coeffs holds the weights of extra_functions, the trial functions
-    added to the basis (the corner functions for homogeneous corners).
+    added to the basis (the corner functions of a kernel's corner form).
     """
 
     basis: SpectralBasis | CauchyBasis
@@ -177,9 +181,12 @@ def _midpoints(t: int) -> np.ndarray:
     return (2.0 * np.arange(1, t + 1) - 1.0) / (2.0 * t)
 
 
+@lru_cache(maxsize=32)
 def _cosines(rows: int, t: int) -> np.ndarray:
-    """cos(n pi x) for n < rows at the t midpoints, shape (rows, t)."""
-    return np.cos(np.pi * np.outer(np.arange(rows), _midpoints(t)))
+    """cos(n pi x) for n < rows at the t midpoints (read-only)."""
+    table = np.cos(np.pi * np.outer(np.arange(rows), _midpoints(t)))
+    table.setflags(write=False)
+    return table
 
 
 def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
@@ -191,7 +198,9 @@ def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
     """
     if n_max >= t1:
         raise ValueError("n_max must stay below the node count")
-    return _cosines(n_max + 1, t1) @ values_at(F, _midpoints(t1)) / t1
+    values = values_at(F, _midpoints(t1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the solvers raise
+        return _cosines(n_max + 1, t1) @ values / t1
 
 
 @lru_cache(maxsize=32)
@@ -215,17 +224,46 @@ def _corner_images(beta: float, power: float):
 def _xi_rule(kernel: KernelSpec, t2: int):
     """xi-nodes of the kernel moments and their weights (None for the
     midpoint rule)."""
-    if kernel.homogeneous_corners:
+    if kernel.corner_form is not None:
         return graded_rule(t2)
     return _midpoints(t2), None
 
 
+def _corner_sides(x, xi):
+    """Sides (a, b, k) of the corner part at (0, 0) and (1, 1): a = x and
+    b = xi, or x - 1 and xi - 1, with k = 1/(pi (a + b)^3).  Term i, the
+    sum of a^i b^(2-i) k over both, is lambda-free, and the corner part
+    (q + q_m)/pi of form c is sum_i c_i term i (see plane_strain_kernel)."""
+    return [(a, b, 1.0 / (np.pi * s * s * s))
+            for a, b in ((x, xi), (x - 1.0, xi - 1.0)) for s in (a + b,)]
+
+
+def _corner_part(form, x, xi):
+    """The corner part of form (c1, c2, c3) at broadcastable (x, xi)."""
+    c1, c2, c3 = form
+    return sum(((c1 * b + c2 * a) * b + c3 * a * a) * k
+               for a, b, k in _corner_sides(x, xi))
+
+
+@lru_cache(maxsize=4)
+def _corner_tables(t1: int, t2: int) -> np.ndarray:
+    """The three terms of _corner_sides at the t1 x-midpoints against
+    graded_rule(t2), in one pass (read-only, for every corner form)."""
+    p = np.arange(3.0)[:, None, None]
+    tables = sum(a ** p * b ** (2.0 - p) * k for a, b, k in
+                 _corner_sides(_midpoints(t1)[:, None], graded_rule(t2)[0]))
+    tables.setflags(write=False)
+    return tables
+
+
 @lru_cache(maxsize=1)
 def _kernel_grid(kernel: KernelSpec, t1: int, t2: int):
-    """K at the t1 x-midpoints against the xi-nodes of _xi_rule (read-only,
-    shared by every truncation order of one kernel)."""
-    grid = kernel_grid(kernel.regular_part, _midpoints(t1),
-                       _xi_rule(kernel, t2)[0])
+    """K, or its corner part alone if analytic, at the t1 x-midpoints
+    against the xi-nodes of _xi_rule (read-only, for every truncation)."""
+    grid = (np.tensordot(kernel.corner_form, _corner_tables(t1, t2), 1)
+            if kernel.analytic else
+            kernel_grid(kernel.regular_part, _midpoints(t1),
+                        _xi_rule(kernel, t2)[0]))
     grid.setflags(write=False)
     return grid
 
@@ -253,9 +291,9 @@ def _barycentric(x) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _chebyshev_interpolation(t: int) -> np.ndarray:
-    """The barycentric matrix to the t midpoints (read-only)."""
-    mat = _barycentric(_midpoints(t))
+def _chebyshev_interpolation(t: int, graded: bool = False) -> np.ndarray:
+    """The barycentric matrix to the t midpoints or graded nodes (read-only)."""
+    mat = _barycentric(graded_rule(t)[0] if graded else _midpoints(t))
     mat.setflags(write=False)
     return mat
 
@@ -269,10 +307,12 @@ def _interpolant_cosine_moments(rows: int, t1: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _kernel_tensor(kernel: KernelSpec) -> np.ndarray:
-    """K on the CHEB_ORDER^2 Chebyshev tensor (read-only, shared by every
-    truncation order and node budget of one analytic kernel)."""
+    """K less its corner part on the CHEB_ORDER^2 Chebyshev tensor (read-only,
+    shared by every truncation order and node budget of one kernel)."""
     nodes = _chebyshev_points()
     tensor = kernel_grid(kernel.regular_part, nodes, nodes)
+    if kernel.corner_form is not None:
+        tensor -= _corner_part(kernel.corner_form, nodes[:, None], nodes)
     tensor.setflags(write=False)
     return tensor
 
@@ -283,17 +323,18 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
 
     Double midpoint rule with t1 x-nodes and t2 xi-nodes; nodes are
     interior, so the fixed-singularity corners are never touched.  A
-    kernel with homogeneous corners makes the xi-integrand singular at
-    xi = 0 and 1, where the midpoint rule converges only algebraically
-    (slowest for small gamma0); its xi-nodes come from the
-    endpoint-graded rule with a budget of t2 nodes instead.
+    kernel with a corner form makes the xi-integrand singular at xi = 0
+    and 1, where the midpoint rule converges only algebraically (slowest
+    for small gamma0); its xi-nodes come from the endpoint-graded rule
+    with a budget of t2 nodes instead.
     Returns shape (n_max+1, n_max+1) with j = 0..n_max columns.  Each
     further trial function in extra appends one column after the basis
     and one cosine row, so the matrix stays square.
     An analytic kernel replaces the grid by its Chebyshev interpolant
     L_x V L_xi^T, V the tensor samples and L the barycentric matrices to
-    the midpoints, and the moments become (cos @ L_x / t1) @ V @
-    (L_xi^T @ pmat^T / t2) without a grid-sized product.
+    the nodes, and the moments become (cos @ L_x / t1) @ V @
+    (L_xi^T @ pmat^T / t2) without a grid-sized product; a corner part
+    alone keeps the grid, from the lambda-free tables.
     """
     if basis.max_degree < n_max:
         raise ValueError("basis degree too small for requested moments")
@@ -301,15 +342,19 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     pmat = basis.phi_matrix(xi)[: n_max + 1]
     if extra:
         pmat = np.vstack([pmat] + [g(xi) for g in extra])
-    if kernel.analytic:
-        left = _interpolant_cosine_moments(len(pmat), config.t1)
-        right = _chebyshev_interpolation(config.t2).T @ pmat.T / config.t2
-        return left @ _kernel_tensor(kernel) @ right
     scale = config.t1 if w is not None else config.t1 * config.t2
     if w is not None:
         pmat = pmat * w
+    if kernel.analytic:
+        left = _interpolant_cosine_moments(len(pmat), config.t1)
+        right = (_chebyshev_interpolation(config.t2, w is not None).T
+                 @ pmat.T / (scale / config.t1))
+        moments = left @ _kernel_tensor(kernel) @ right
+        if kernel.corner_form is None:
+            return moments
     kmat = _kernel_grid(kernel, config.t1, config.t2)
-    return _cosines(len(pmat), config.t1) @ kmat @ pmat.T / scale
+    grid = _cosines(len(pmat), config.t1) @ kmat @ pmat.T / scale
+    return moments + grid if kernel.analytic else grid
 
 
 def dense_solve(a: np.ndarray, f: np.ndarray):
@@ -351,7 +396,7 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
     with the same N, t1 and t2, to fixsing.cauchy.cauchy_solve; its
     Solution is over a CauchyBasis.  Otherwise the truncated rows
     n = 1..N are assembled and solved densely, then C is recovered from
-    the n = 0 row.  A kernel with homogeneous corners adds the two corner
+    the n = 0 row.  A kernel with a corner form adds the two corner
     trial functions and the rows n = N, N+1 (see the module docstring).
     The residual report of either route carries the linear-system residual
     and the solvability-identity residual (exactly the n = 0 row restated,
@@ -379,7 +424,7 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
     basis = build_basis(kernel.beta, max(rows, 1))
     extra, images = ((corner_functions(2.0 * basis.rho1),
                       _corner_images(kernel.beta, 2.0 * basis.rho1))
-                     if kernel.homogeneous_corners else ((), ()))
+                     if kernel.corner_form is not None else ((), ()))
     f = fourier_load_coeffs(F, config.t1, rows + len(extra))
     k = kernel_matrix(kernel, basis, config, rows, extra)
     if extra:
@@ -411,10 +456,17 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
 
 def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
     xs = np.linspace(0.1, 0.9, 5)
-    # K[phi] is analytic in x if K is: one exact pass serves both checks
+    # K[phi] less its corner part is analytic in x if that part of K is:
+    # one exact pass serves both checks
     sampled = kernel.analytic and isinstance(solution.basis, SpectralBasis)
     at = np.concatenate([xs, _chebyshev_points()]) if sampled else xs
-    k_phi = apply_K(kernel, solution.evaluate, at, PV_NODES)
+    xi, w = graded_rule(PV_NODES)
+    phi_xi = values_at(solution.evaluate, xi)  # once, for every pass
+
+    def phi(x):
+        return phi_xi if x is xi else solution.evaluate(x)
+
+    k_phi = apply_K(kernel, phi, at, PV_NODES)
     res = (apply_S(solution.evaluate, kernel.beta, xs, PVRule(PV_NODES))
            + k_phi[:len(xs)] + values_at(F, xs) - solution.constant_C)
     report = {"equation_residual_max": float(np.max(np.abs(res)))}
@@ -426,10 +478,21 @@ def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
     # cross-check of C through the regularization constant: C equals the
     # weight functional of F + K[phi]
     regime = classify(kernel.beta)
+    p = np.arange(3.0)
+
+    def corner_k(x):
+        # rational in x, so applied exactly: sum_i c_i a^i k @ b^(2-i) w phi
+        if not (sampled and kernel.corner_form):
+            return 0.0
+        return sum((k @ (b ** (2.0 - p[:, None]) * w * phi_xi).T * a ** p)
+                   @ kernel.corner_form
+                   for a, b, k in _corner_sides(x[:, None], xi))
+
+    analytic_k = k_phi[len(xs):] - corner_k(_chebyshev_points())
 
     def load_plus_k(x):
-        k = (_barycentric(x) @ k_phi[len(xs):] if sampled
-             else apply_K(kernel, solution.evaluate, x, PV_NODES))
+        k = (_barycentric(x) @ analytic_k + corner_k(x) if sampled
+             else apply_K(kernel, phi, x, PV_NODES))
         return values_at(F, x) + k
 
     c_reg = (np.sin(np.pi * solution.basis.rho1) / 2.0

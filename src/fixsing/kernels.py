@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .complete import KernelSpec
+from .complete import KernelSpec, _corner_part
 
 #: switch radius for the cot-vs-rational Taylor series; the direct
 #: difference loses ~eps/u^2 digits, the truncated series ~u^7, and both
@@ -287,7 +287,7 @@ class PlaneStrainParams:
     @cached_property
     def gamma0(self) -> float:
         """Root of the exponent equation on (0, 1), computed once."""
-        return gamma0_root(self)
+        return _gamma0(self, 1e-13)
 
     @property
     def beta_eff(self) -> float:
@@ -323,16 +323,22 @@ def _lambda_prime(gamma: float, params: PlaneStrainParams) -> float:
             - 4.0 * quad * gamma)
 
 
-def gamma0_root(params: PlaneStrainParams, tol: float = 1e-13) -> float:
+def gamma0_root(params: PlaneStrainParams, tol: float | None = None
+                ) -> float:
     """Root gamma0 of the exponent equation on (0, 1).
 
     A scan of the 999 interior nodes 1e-3 .. 0.999 brackets the sign
     change (multiple changes are flagged, the first is used), bisection
-    narrows the bracket, and Newton steps polish to tol.  A root outside
-    the scanned range raises NoBracketError, as for lambda below about
-    1.4e-6 at nu = 0.3, where gamma0 < 1e-3.  params is not modified;
-    params.gamma0 is this root at the default tol.
+    narrows the bracket, and Newton steps polish to tol (1e-13 by
+    default).  A root outside the scanned range raises NoBracketError, as
+    for lambda below about 1.4e-6 at nu = 0.3, where gamma0 < 1e-3.
+    Without a tol this is params.gamma0, found once per params (its
+    constants are not modified); an explicit tol finds the root afresh.
     """
+    return params.gamma0 if tol is None else _gamma0(params, tol)
+
+
+def _gamma0(params: PlaneStrainParams, tol: float) -> float:
     grid = np.linspace(0.0, 1.0, 1001)[1:-1]
     vals = lambda_fn(grid, params)
     signs = np.sign(vals)
@@ -372,24 +378,22 @@ def plane_strain_kernel(params: PlaneStrainParams) -> KernelSpec:
     quadratic-numerator remainders with 1/(corner) growth.  Those
     remainders are homogeneous of degree -1 at the corners: their Mellin
     symbol vanishes at gamma0 but not at the associated operator's second
-    exponent 2 - gamma0, which the solution therefore lacks.  The kernel
-    is flagged so that solve frees that exponent with corner trial
-    functions.
+    exponent 2 - gamma0, which the solution therefore lacks.  The spec
+    carries their quadratic form as corner_form, so that solve frees that
+    exponent with corner trial functions, and declares the rest analytic
+    on the closed square: like the antiplane kernel's, its nearest
+    singularities lie at xi - x = +-2 and xi + x in {-2, 4}.
 
     The full regular part K0 of the physical problem has no published
     closed form, so only the dominant equation is provided.
     """
     beta = params.beta_eff
     # b1 xi^2 + b2 xi x + b3 x^2 - beta (xi + x)^2 as one quadratic form
-    c1, c2, c3 = params.b1 - beta, params.b2 - 2.0 * beta, params.b3 - beta
+    form = (params.b1 - beta, params.b2 - 2.0 * beta, params.b3 - beta)
 
     def regular_part(x, xi):
-        s = xi + x
-        u, v = xi - 1.0, x - 1.0
-        sm = u + v
-        q = (c1 * xi * xi + c2 * xi * x + c3 * x * x) / (s * s * s)
-        qm = (c1 * u * u + c2 * u * v + c3 * v * v) / (sm * sm * sm)
-        return (cot_gap(xi - x) + beta * fixed_gap(s) + (q + qm) / np.pi)
+        return (cot_gap(xi - x) + beta * fixed_gap(xi + x)
+                + _corner_part(form, x, xi))
 
-    return KernelSpec(beta=beta, regular_part=regular_part,
-                      homogeneous_corners=True)
+    return KernelSpec(beta=beta, regular_part=regular_part, corner_form=form,
+                      analytic=True)

@@ -201,8 +201,8 @@ def characteristic_series_solve(basis: SpectralBasis, fourier_coeffs,
     fourier_coeffs[n] must equal int_0^1 F(x) cos(n pi x) dx for
     n = 0 .. m0+1.  The solution is phi = sum_{j<=m0} 2 f_{j+1} phi_j and
     the constant is fixed by the solvability condition, which reduces to
-    C = f_0 + 2 sum N_{2m} f_{2m} over the even harmonics kept.  Returns a
-    fixsing.complete.Solution without a SolveConfig.
+    C = f_0 + 2 sum N_{2m} f_{2m} over the even harmonics kept (a non-finite
+    one raises ValueError).  Returns a Solution without a SolveConfig.
     """
     from .complete import Solution
 
@@ -211,6 +211,8 @@ def characteristic_series_solve(basis: SpectralBasis, fourier_coeffs,
         raise ValueError("truncation exceeds the basis degree")
     if len(f) < m0 + 2:
         raise ValueError("need cosine coefficients up to order m0 + 1")
+    if not np.all(np.isfinite(f[:m0 + 2])):
+        raise ValueError("load moments are not finite")
     coeffs = 2.0 * f[1:m0 + 2]
     c = f[0] + 2.0 * sum(
         N_coeff(basis, n) * f[n] for n in range(2, m0 + 2, 2)

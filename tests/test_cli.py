@@ -248,6 +248,21 @@ def test_nonfinite_inputs_are_configuration_errors(args, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["characteristic", "--beta", "0.5", "--m0", "5"],
+    ["characteristic", "--beta", "0.5", "--m0", "5,10"],
+    ["antiplane", "--lambda", "0.5"],
+    ["antiplane", "--lambda", "1"],
+], ids=["series", "series-sweep", "spectral", "cauchy"])
+def test_overflowing_load_moments_are_one_clean_error(args, capsys):
+    # a finite load whose moments overflow: a typed error on every route,
+    # no NaN rows and no numpy warning on stderr
+    assert main(args + ["--amplitude", "1e308", "--load", "quadratic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: load moments are not finite\n"
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fixsing.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -274,7 +274,7 @@ def test_kernel_matrix_extra_columns_and_rows():
 
 def test_antiplane_solve_has_no_corner_functions():
     kern = antiplane_kernel(AntiplaneParams(lam=0.5))
-    assert not kern.homogeneous_corners
+    assert kern.corner_form is None
     sol = solve(kern, lambda x: x, SolveConfig(N=8, t1=60, t2=64),
                 diagnostics=False)
     assert len(sol.corner_coeffs) == 0
@@ -286,7 +286,7 @@ def test_plane_strain_solve_with_corner_functions():
     # N = 10 (7.4e-3 without them)
     from fixsing.oracle import PVRule, full_residual
     kern = _plane_strain(0.5)
-    assert kern.homogeneous_corners
+    assert kern.corner_form is not None
     sol = solve(kern, lambda x: x, SolveConfig(N=10, t1=200, t2=210),
                 diagnostics=False)
     rep = sol.residual_report
@@ -427,8 +427,8 @@ def test_cross_check_evaluates_k_phi_on_one_64_row_grid():
 def test_diagnostics_kernel_budget(kind):
     # an analytic kernel's diagnostics sample K once, on the graded PV rule
     # at the five residual points and the CHEB_ORDER Chebyshev points; the
-    # plane-strain cross-check keeps its exact pass at the 64 points of the
-    # weight rule
+    # plane-strain corner part is applied at the weight rule's points from
+    # its own formula, not through regular_part
     base = (antiplane_kernel(AntiplaneParams(lam=0.5)) if kind == "antiplane"
             else _plane_strain(2.0))
     points = []
@@ -447,23 +447,14 @@ def test_diagnostics_kernel_budget(kind):
               diagnostics=diagnostics)
         counts.append(sum(points))
     width = len(complete.graded_rule(complete.PV_NODES)[0])
-    if kind == "antiplane":
-        assert kern.analytic
-        assert counts[1] - counts[0] <= (5 + complete.CHEB_ORDER) * width
-    else:
-        assert counts[1] - counts[0] == (5 + 64) * width
+    assert kern.analytic
+    assert counts[1] - counts[0] <= (5 + complete.CHEB_ORDER) * width
 
 
-@pytest.mark.parametrize("lam", [1e-4, 0.1, 0.5, 10.0, 1e4])
-def test_interpolated_cross_check_matches_the_exact_one(lam):
-    # the reported gap comes from K[phi] interpolated from the Chebyshev
-    # points; the referee applies the exact kernel at the weight rule's
-    # points.  These loads have a gap from 1e-6 (lambda = 1e4) to 6e-3
-    # (lambda = 1e-4) at N = 17, so a wrong interpolant shows
+def _check_cross_check_against_the_exact_one(kern):
     from fixsing import oracle
     from fixsing.regimes import classify, solvability_functional
 
-    kern = antiplane_kernel(AntiplaneParams(lam=lam))
     for load in (lambda x: x * x / 2.0, lambda x: x ** 3 / 3.0):
         sol = solve(kern, load)
 
@@ -479,6 +470,24 @@ def test_interpolated_cross_check_matches_the_exact_one(lam):
         assert gap == pytest.approx(abs(c_reg - sol.constant_C), abs=1e-14)
 
 
+@pytest.mark.parametrize("lam", [1e-4, 0.1, 0.5, 10.0, 1e4])
+def test_interpolated_cross_check_matches_the_exact_one(lam):
+    # the reported gap comes from K[phi] interpolated from the Chebyshev
+    # points; the referee applies the exact kernel at the weight rule's
+    # points.  These loads have a gap from 1e-6 (lambda = 1e4) to 6e-3
+    # (lambda = 1e-4) at N = 17, so a wrong interpolant shows
+    _check_cross_check_against_the_exact_one(
+        antiplane_kernel(AntiplaneParams(lam=lam)))
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.01, 0.05, 2.0, 1e4])
+def test_split_cross_check_matches_the_exact_one(lam):
+    # plane strain: the analytic half of K[phi] is interpolated, the corner
+    # half applied exactly at the weight rule's points; the referee applies
+    # the whole kernel there
+    _check_cross_check_against_the_exact_one(_plane_strain(lam))
+
+
 @pytest.mark.parametrize("kern", [
     antiplane_kernel(AntiplaneParams(lam=3.0)), _plane_strain(2.0)],
     ids=["antiplane", "plane-strain"])
@@ -487,7 +496,7 @@ def test_kernel_matrix_equals_the_unblocked_formula(kern):
     cfg = SolveConfig(N=8, t1=300, t2=310)
     basis = build_basis(kern.beta, 7)
     x = complete._midpoints(cfg.t1)
-    if kern.homogeneous_corners:
+    if kern.corner_form is not None:
         xi, w = complete.graded_rule(cfg.t2)
         pmat, scale = basis.phi_matrix(xi)[:8] * w, cfg.t1
     else:
@@ -515,10 +524,17 @@ def test_caller_kernel_is_not_assumed_analytic():
     assert sol.residual_report["equation_residual_max"] <= 5e-3
 
 
-def test_analytic_kernel_excludes_homogeneous_corners():
-    with pytest.raises(ValueError, match="homogeneous corners"):
-        KernelSpec(beta=0.5, regular_part=ZERO_KERNEL.regular_part,
-                   homogeneous_corners=True, analytic=True)
+def test_corner_form_takes_three_finite_coefficients():
+    for form in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, np.nan, 0.0),
+                 (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="three finite coefficients"):
+            KernelSpec(beta=0.5, regular_part=ZERO_KERNEL.regular_part,
+                       corner_form=form, analytic=True)
+    # any sequence is held as a tuple of floats, so the spec stays a key
+    kern = KernelSpec(beta=0.5, regular_part=ZERO_KERNEL.regular_part,
+                      corner_form=np.array([1, 2, 3]), analytic=True)
+    assert kern.corner_form == (1.0, 2.0, 3.0)
+    assert hash(kern) == hash(dataclasses.replace(kern))
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.01, 0.3, 0.5, 2.0, 100.0,
@@ -548,6 +564,65 @@ def test_chebyshev_tensor_matches_the_grid_route(lam):
             phi = want.evaluate(xs)
             np.testing.assert_allclose(got.evaluate(xs), phi, rtol=0,
                                        atol=1e-13 * np.max(np.abs(phi)))
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_plane_strain_split_matches_the_grid_route(k):
+    # the analytic half on the Chebyshev tensor plus the corner half from
+    # the lambda-free tables against the whole kernel on the graded grid
+    # (lambda = 1 takes the Cauchy route on both)
+    kern = _plane_strain(10.0 ** (k / 2.0))
+    assert kern.analytic and kern.corner_form is not None
+    grid = dataclasses.replace(kern, analytic=False)
+    xs = np.linspace(0.0, 1.0, 41)
+    for N in (10, 17, 21):
+        for load in (lambda x: x, lambda x: x * x / 2.0):
+            got, want = (solve(spec, load, SolveConfig(N=N),
+                               diagnostics=False) for spec in (kern, grid))
+            for a, b in ((got.b, want.b),
+                         (got.corner_coeffs, want.corner_coeffs),
+                         (got.evaluate(xs), want.evaluate(xs))):
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * np.max(
+                    np.abs(b), initial=0.0)
+            assert got.constant_C == pytest.approx(want.constant_C,
+                                                   rel=1e-13)
+
+
+def test_plane_strain_ladder_samples_only_the_chebyshev_tensor(monkeypatch):
+    # two kernels' ladders build the lambda-free corner tables once and
+    # sample each regular part on the CHEB_ORDER^2 tensor alone: no grid of
+    # the t2 budget is filled from regular_part
+    shapes, grids = [], []
+    kernel_grid = complete.kernel_grid
+
+    def counted_grid(k, x, xi):
+        grids.append((len(x), len(xi)))
+        return kernel_grid(k, x, xi)
+
+    monkeypatch.setattr(complete, "kernel_grid", counted_grid)
+    complete._corner_tables.cache_clear()
+    for lam in (0.3, 30.0):
+        base = _plane_strain(lam)
+
+        def counted(x, xi, base=base):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+            return base.regular_part(x, xi)
+
+        kern = dataclasses.replace(base, regular_part=counted)
+        for n in (5, 9, 13, 17, 21):
+            solve(kern, lambda x: x, SolveConfig(N=n), diagnostics=False)
+    assert complete._corner_tables.cache_info().misses == 1
+    tensor = (complete.CHEB_ORDER, complete.CHEB_ORDER)
+    assert shapes == [tensor] * 2
+    assert grids == [tensor] * 2
+
+
+def test_cosine_tables_are_cached_and_read_only():
+    table = complete._cosines(9, 60)
+    assert table is complete._cosines(9, 60)
+    assert not table.flags.writeable
+    want = np.cos(np.pi * np.outer(np.arange(9), complete._midpoints(60)))
+    assert table.tobytes() == want.tobytes()
 
 
 def test_corner_images_apply_S_once_on_the_chebyshev_points(monkeypatch):

@@ -390,7 +390,8 @@ def test_factory_kernels_are_odd_under_reflection(kern):
 def test_plane_strain_params_are_frozen_and_derive_the_root():
     p = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
     g = gamma0_root(p)
-    assert "gamma0" not in vars(p)  # the root call leaves params untouched
+    # the root call leaves the constants untouched
+    assert p == plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
     assert p.gamma0 == g
     assert p.beta_eff == -math.cos(math.pi * g)
     with pytest.raises(AttributeError):
@@ -400,6 +401,28 @@ def test_plane_strain_params_are_frozen_and_derive_the_root():
     # no root call is needed before the kernel is built
     fresh = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
     assert plane_strain_kernel(fresh).beta == p.beta_eff
+
+
+def test_root_call_then_kernel_scans_once(monkeypatch):
+    # gamma0_root and the kernel share one root per params; an explicit
+    # tol scans afresh, to the same bits
+    import fixsing.kernels as kernels
+
+    scans = []
+
+    def counted(gamma, params):
+        if np.ndim(gamma):
+            scans.append(len(gamma))
+        return lambda_fn(gamma, params)
+
+    monkeypatch.setattr(kernels, "lambda_fn", counted)
+    p = plane_strain_coeffs(0.123, 1.0, 0.3, 0.3)
+    g = gamma0_root(p)
+    plane_strain_kernel(p)
+    assert p.gamma0 == g
+    assert scans == [999]
+    assert gamma0_root(p, tol=1e-13) == g
+    assert scans == [999, 999]
 
 
 _REFLECTION_X = np.array([0.0, 1.0, 0.0, 0.37, 0.92, 0.05, 0.61])
