@@ -119,12 +119,15 @@ def _gauss_jacobi_cached(n, alpha, beta):
     u = z + sig
     factors = u[None, :] - (sig[None, :] + a[:, None])  # row j: z - a_j
     bl = b.tolist()
-    p0, p = np.zeros(n), np.ones(n)
-    d0, dp = np.zeros(n), np.zeros(n)
+    # rows p_j and p_j': a step adds p_j to p_j', then both recur alike
+    prev, cur = np.zeros((2, n)), np.array([np.ones(n), np.zeros(n)])
     for j in range(n):
-        m = factors[j]
-        p0, p = p, (m * p - bl[j] * p0) / bl[j + 1]
-        d0, dp = dp, (m * dp + p0 - bl[j] * d0) / bl[j + 1]
+        nxt = factors[j] * cur
+        nxt[1] += cur[0]
+        nxt -= bl[j] * prev
+        nxt /= bl[j + 1]
+        prev, cur = cur, nxt
+    p, dp = cur
     v = sig * u
     # p_n'' from the Jacobi differential equation carries p_n' to the
     # polished node; the step is ~1e-10 of |u| at most, so first order is

@@ -35,7 +35,9 @@ regular part declared analytic on the closed square, less any corner
 part, enters them through its interpolant on a fixed tensor of
 CHEB_ORDER^2 Chebyshev points; a corner part is linear in its three
 coefficients, whose lambda-free grids serve every kernel.  Only an
-undeclared kernel is evaluated on the grid.
+undeclared kernel is evaluated on the grid.  The phi_j come at the
+xi-nodes from one table per rho1 and rule, which serves a whole
+truncation ladder, since a row does not depend on the degree.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from ._quad import graded_rule, kernel_grid, values_at
 from .oracle import PVRule, apply_K, apply_S
 from .regimes import classify, solvability_functional
-from .spectral import SpectralBasis, N_coeff, M_coeff, build_basis
+from .spectral import SpectralBasis, M_coeff, _moment_table, build_basis
 
 if TYPE_CHECKING:
     from .cauchy import CauchyBasis
@@ -229,6 +231,15 @@ def _xi_rule(kernel: KernelSpec, t2: int):
     return _midpoints(t2), None
 
 
+@lru_cache(maxsize=2)
+def _xi_basis(rho1: float, degree: int, t2: int, graded: bool) -> np.ndarray:
+    """phi_0 .. phi_degree at the xi-nodes of _xi_rule (read-only)."""
+    table = SpectralBasis(rho1, degree).phi_matrix(
+        graded_rule(t2)[0] if graded else _midpoints(t2))
+    table.setflags(write=False)
+    return table
+
+
 def _corner_sides(x, xi):
     """Sides (a, b, k) of the corner part at (0, 0) and (1, 1): a = x and
     b = xi, or x - 1 and xi - 1, with k = 1/(pi (a + b)^3).  Term i, the
@@ -339,7 +350,9 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
     if basis.max_degree < n_max:
         raise ValueError("basis degree too small for requested moments")
     xi, w = _xi_rule(kernel, config.t2)
-    pmat = basis.phi_matrix(xi)[: n_max + 1]
+    # 2^k + 1 rows, at least 17, so that a ladder shares its tables
+    degree = max(16, 1 << (n_max - 1).bit_length())
+    pmat = _xi_basis(basis.rho1, degree, config.t2, w is not None)[: n_max + 1]
     if extra:
         pmat = np.vstack([pmat] + [g(xi) for g in extra])
     scale = config.t1 if w is not None else config.t1 * config.t2
@@ -401,8 +414,10 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
     The residual report of either route carries the linear-system residual
     and the solvability-identity residual (exactly the n = 0 row restated,
     on the spectral route through the weight moments).  When diagnostics
-    is set it adds the full equation residual at five interior points and,
-    on the spectral route, the regularization-constant cross-check of C.
+    is set it adds the full equation residual at five interior points,
+    where the exact kernel referees the solve and its tensor, and, on the
+    spectral route, the regularization-constant cross-check of C, which
+    takes an analytic kernel's K[phi] from the tensor.
     """
     config = config or SolveConfig()
     if abs(kernel.beta) < CAUCHY_BETA:
@@ -439,12 +454,14 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
     a[np.arange(rows), np.arange(rows)] -= 0.5
     coeffs, cond, linear = dense_solve(a, f)
 
-    n_coeffs = np.array([N_coeff(basis, j + 1) for j in range(rows)]
-                        + [0.0] * len(extra))
+    # N_j, zero for odd j, and M_j = M_0 N_j (N_0 = 1)
+    n_all = np.where(np.arange(n_unknowns + 1) % 2, 0.0,
+                     _moment_table(basis.rho1, n_unknowns)[:n_unknowns + 1])
+    n_coeffs = np.concatenate([n_all[1:rows + 1], np.zeros(len(extra))])
     c = float(f[0] + (n_coeffs + k[0, :n_unknowns]) @ coeffs)
 
     report = {"condition_number": cond, "linear_residual": linear}
-    m_coeffs = np.array([M_coeff(basis, n) for n in range(n_unknowns + 1)])
+    m_coeffs = M_coeff(basis, 0) * n_all
     lhs = m_coeffs[0] * (c - f[0] - k[0, :n_unknowns] @ coeffs)
     rhs = 2.0 * m_coeffs[1:] @ (f[1:] + k[1:, :n_unknowns] @ coeffs)
     report["solvability_identity"] = float(abs(lhs - rhs))
@@ -456,19 +473,21 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
 
 def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
     xs = np.linspace(0.1, 0.9, 5)
-    # K[phi] less its corner part is analytic in x if that part of K is:
-    # one exact pass serves both checks
-    sampled = kernel.analytic and isinstance(solution.basis, SpectralBasis)
-    at = np.concatenate([xs, _chebyshev_points()]) if sampled else xs
+    # phi once, at the five points and at the nodes of apply_S and apply_K
     xi, w = graded_rule(PV_NODES)
-    phi_xi = values_at(solution.evaluate, xi)  # once, for every pass
+    at = (xs, graded_rule(PV_NODES, levels=24)[0], xi)
+    values = np.split(values_at(solution.evaluate, np.concatenate(at)),
+                      np.cumsum([len(a) for a in at[:-1]]))
+    phi_xi = values[-1]
 
     def phi(x):
-        return phi_xi if x is xi else solution.evaluate(x)
+        hit = [v for a, v in zip(at, values) if a is x]
+        return hit[0] if hit else solution.evaluate(x)
 
-    k_phi = apply_K(kernel, phi, at, PV_NODES)
-    res = (apply_S(solution.evaluate, kernel.beta, xs, PVRule(PV_NODES))
-           + k_phi[:len(xs)] + values_at(F, xs) - solution.constant_C)
+    # the exact kernel, at the five points only: the referee of the tensor
+    res = (apply_S(phi, kernel.beta, xs, PVRule(PV_NODES))
+           + apply_K(kernel, phi, xs, PV_NODES) + values_at(F, xs)
+           - solution.constant_C)
     report = {"equation_residual_max": float(np.max(np.abs(res)))}
     if not isinstance(solution.basis, SpectralBasis):
         # the beta = 0 weight is half the beta -> 0 limit of tan^e + cot^e:
@@ -480,19 +499,19 @@ def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
     regime = classify(kernel.beta)
     p = np.arange(3.0)
 
-    def corner_k(x):
-        # rational in x, so applied exactly: sum_i c_i a^i k @ b^(2-i) w phi
-        if not (sampled and kernel.corner_form):
-            return 0.0
-        return sum((k @ (b ** (2.0 - p[:, None]) * w * phi_xi).T * a ** p)
-                   @ kernel.corner_form
-                   for a, b, k in _corner_sides(x[:, None], xi))
-
-    analytic_k = k_phi[len(xs):] - corner_k(_chebyshev_points())
-
     def load_plus_k(x):
-        k = (_barycentric(x) @ analytic_k + corner_k(x) if sampled
-             else apply_K(kernel, phi, x, PV_NODES))
+        if not kernel.analytic:
+            return values_at(F, x) + apply_K(kernel, phi, x, PV_NODES)
+        # K[phi] less its corner part is analytic in x if that part of K
+        # is: the solve's tensor gives it at the Chebyshev points.  The
+        # rational corner part is applied exactly, one side at a time:
+        # sum_i c_i a^i k @ b^(2-i) w phi
+        k = _barycentric(x) @ (_kernel_tensor(kernel) @ (
+            _chebyshev_interpolation(PV_NODES, graded=True).T @ (w * phi_xi)))
+        for a, b, r in (_corner_sides(x[:, None], xi)
+                        if kernel.corner_form else ()):
+            k = k + (r @ (b ** (2.0 - p[:, None]) * w * phi_xi).T
+                     * a ** p) @ kernel.corner_form
         return values_at(F, x) + k
 
     c_reg = (np.sin(np.pi * solution.basis.rho1) / 2.0

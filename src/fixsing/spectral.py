@@ -43,29 +43,36 @@ from .regimes import classify
 from .specfun import chebyshev_T
 
 
-def _q_rows(alpha: float, degree: int, zeta) -> np.ndarray:
-    """q_0(zeta; alpha) .. q_degree(zeta; alpha) stacked along axis 0.
+def _q_rows(alpha, degree: int, zeta) -> np.ndarray:
+    """q_0(zeta; alpha) .. q_degree(zeta; alpha) stacked along axis 0, for
+    one alpha or, along axis 1, for each of a sequence of them.
 
     U's recurrence turns the series into Q_j = 2 zeta Q_{j-1} - Q_{j-2}
     + 2 p_j with Q_0 = p_0 = 1 and Q_{-1} = 0, so a row does not depend on
     degree, bit for bit; q = -Q / sin(pi alpha).
     """
-    p = _moment_table(alpha, degree)
-    q = np.empty((degree + 1,) + np.shape(zeta))
-    q[0] = 1.0
-    if degree:
-        q[1] = 2.0 * zeta + 2.0 * p[1]
-    for j in range(2, degree + 1):
-        q[j] = 2.0 * zeta * q[j - 1] - q[j - 2] + 2.0 * p[j]
-    return q / -math.sin(math.pi * alpha)
+    alphas = np.ravel(alpha).tolist()
+    col = np.shape(alpha) + (1,) * np.ndim(zeta)  # one value per alpha
+    p = 2.0 * np.reshape(np.transpose([_moment_table(a, degree)[:degree + 1]
+                                       for a in alphas]), (degree + 1,) + col)
+    zeta2 = 2.0 * np.asarray(zeta)
+    # row j + 1 holds Q_j, from Q_-1 = 0
+    q = np.zeros((degree + 2,) + np.shape(alpha) + np.shape(zeta))
+    q[1] = 1.0
+    for j in range(1, degree + 1):
+        np.multiply(zeta2, q[j], out=q[j + 1, ...])
+        q[j + 1] -= q[j - 1]
+        q[j + 1] += p[j]
+    return q[1:] / np.reshape([-math.sin(math.pi * a) for a in alphas], col)
 
 
 @dataclass(frozen=True)
 class SpectralBasis:
     """The phi_j family for one rho1, j <= max_degree.
 
-    Evaluates the U-series of the tan-moments on demand; holds no table of
-    its own.  Immutable; safe to share across threads.
+    Evaluates the U-series of the tan-moments on demand, in one recurrence
+    for both alpha = rho1 and 1 - rho1; holds no table of its own.
+    Immutable; safe to share across threads.
     """
 
     rho1: float
@@ -91,8 +98,9 @@ class SpectralBasis:
         c = np.sin(np.pi * (1.0 - x) / 2.0) ** 2
         zeta = np.cos(np.pi * x)
         r = self.rho1
-        return (c ** r * s ** (1.0 - r) * _q_rows(r, degree, zeta)
-                + c ** (1.0 - r) * s ** r * _q_rows(1.0 - r, degree, zeta))
+        q = _q_rows((r, 1.0 - r), degree, zeta)
+        q *= np.stack([c ** r * s ** (1.0 - r), c ** (1.0 - r) * s ** r])
+        return q[:, 0] + q[:, 1]
 
 
 def basis_from_rho1(rho1: float, max_degree: int) -> SpectralBasis:
@@ -173,14 +181,11 @@ def tan_moment_sequence(rho1: float, kmax: int) -> np.ndarray:
     For even k these are the N_j constants; unlike the terminating
     hypergeometric sum the recurrence is stable for k in the thousands.
     """
-    e = 2.0 * rho1 - 1.0
-    p = np.empty(kmax + 1)
-    p[0] = 1.0
-    if kmax >= 1:
-        p[1] = -e
+    e = 2.0 * float(rho1) - 1.0
+    p = [1.0, -e][:kmax + 1]
     for k in range(1, kmax):
-        p[k + 1] = ((k - 1.0) * p[k - 1] - 2.0 * e * p[k]) / (k + 1.0)
-    return p
+        p.append(((k - 1.0) * p[k - 1] - 2.0 * e * p[k]) / (k + 1.0))
+    return np.array(p)
 
 
 def quadratic_load_constant(rho1: float, terms: int) -> float:

@@ -179,8 +179,7 @@ def _parity_product(basis, ja, jb, n: int = 120):
     for (alpha, beta_w), kind in pieces:
         z, w = gauss_jacobi(n, alpha, beta_w)
         # z = cos(pi x) is the argument of the U-series
-        q = spectral._q_rows(r, max(ja, jb), z)
-        qc = spectral._q_rows(1.0 - r, max(ja, jb), z)
+        q, qc = spectral._q_rows((r, 1.0 - r), max(ja, jb), z).swapaxes(0, 1)
         if kind == "rho":
             poly = q[ja] * q[jb]
         elif kind == "conj":

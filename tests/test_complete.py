@@ -679,3 +679,87 @@ def test_scalar_load_is_broadcast(lam):
     assert (fourier_load_coeffs(lambda x: 2.5, 60, 8).tobytes()
             == fourier_load_coeffs(lambda x: np.full_like(x, 2.5), 60, 8
                                    ).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
+def test_diagnostics_sample_the_exact_kernel_at_the_five_points(kind):
+    # the exact pass is the equation residual's alone; the cross-check
+    # takes K[phi] at the Chebyshev points from the solve's tensor
+    base = (antiplane_kernel(AntiplaneParams(lam=0.5)) if kind == "antiplane"
+            else _plane_strain(2.0))
+    shapes = []
+
+    def counted(x, xi):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+        return base.regular_part(x, xi)
+
+    kern = dataclasses.replace(base, regular_part=counted)
+    solve(kern, lambda x: x, SolveConfig(N=9, t1=60, t2=64),
+          diagnostics=False)
+    shapes.clear()
+    sol = solve(kern, lambda x: x, SolveConfig(N=9, t1=60, t2=64))
+    assert "regularization_constant_gap" in sol.residual_report
+    width = len(complete.graded_rule(complete.PV_NODES)[0])
+    assert shapes == [(5, width)]
+
+
+def test_diagnosed_solve_evaluates_phi_once(monkeypatch):
+    # after a ladder the xi-tables are warm, and the diagnostics sample phi
+    # once for apply_S, apply_K and the cross-check together
+    kern = antiplane_kernel(AntiplaneParams(lam=0.7))
+    for n in (5, 9, 13, 17, 21):
+        solve(kern, lambda x: x, SolveConfig(N=n), diagnostics=False)
+    calls = []
+    phi_matrix = SpectralBasis.phi_matrix
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return phi_matrix(self, x)
+
+    monkeypatch.setattr(SpectralBasis, "phi_matrix", counted)
+    solve(kern, lambda x: x, SolveConfig(N=21))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
+def test_ladder_builds_at_most_two_xi_tables(kind, monkeypatch):
+    # the rows of phi_j do not depend on the degree, so a ladder shares a
+    # table of 17 rows up to N = 17 and one of 33 rows beyond; its
+    # solutions equal those of uncached solves on a table of their own
+    # degree
+    kern = (antiplane_kernel(AntiplaneParams(lam=3.0)) if kind == "antiplane"
+            else _plane_strain(3.0))
+    ladder = (5, 9, 13, 17, 21)
+    complete._xi_basis.cache_clear()
+    shared = [solve(kern, lambda x: x * x / 2.0, SolveConfig(N=n),
+                    diagnostics=False) for n in ladder]
+    assert complete._xi_basis.cache_info().misses <= 2
+    build = complete._xi_basis.__wrapped__
+    for n, got in zip(ladder, shared):
+        monkeypatch.setattr(complete, "_xi_basis",
+                            lambda rho1, degree, t2, graded:
+                            build(rho1, n - 1, t2, graded))
+        want = solve(kern, lambda x: x * x / 2.0, SolveConfig(N=n),
+                     diagnostics=False)
+        assert np.array_equal(got.b, want.b)
+        assert np.array_equal(got.corner_coeffs, want.corner_coeffs)
+        assert got.constant_C == want.constant_C
+    monkeypatch.undo()
+    xi, w = complete._xi_rule(kern, 210)
+    table = complete._xi_basis(build_basis(kern.beta, 1).rho1, 16, 210,
+                               w is not None)
+    assert table.shape == (17, len(xi)) and not table.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
+def test_exact_residual_sees_a_perturbed_tensor(kind, monkeypatch):
+    # the cross-check now shares the solve's tensor, so the five-point
+    # exact pass is what referees it: a tensor off by 1e-6 moves the
+    # residual by 1e-6 times the integral of phi
+    kern = (antiplane_kernel(AntiplaneParams(lam=0.5)) if kind == "antiplane"
+            else _plane_strain(2.0))
+    clean = solve(kern, lambda x: x).residual_report["equation_residual_max"]
+    tensor = complete._kernel_tensor(kern) + 1e-6
+    monkeypatch.setattr(complete, "_kernel_tensor", lambda k: tensor)
+    off = solve(kern, lambda x: x).residual_report["equation_residual_max"]
+    assert abs(off - clean) > 1e-7

@@ -424,3 +424,21 @@ def test_phi_matrix_rows_do_not_depend_on_the_degree():
     small, large = build_basis(0.5, 8), build_basis(0.5, 20)
     x = np.linspace(0.0, 1.0, 41)
     assert np.array_equal(small.phi_matrix(x), large.phi_matrix(x)[:9])
+
+
+def test_q_rows_of_stacked_alphas_equal_each_alpha_alone():
+    # _rows runs one recurrence over rho1 and 1 - rho1; each column must be
+    # that alpha's own rows, bit for bit, at an array and at a scalar zeta
+    for zeta in (np.cos(np.pi * np.linspace(0.0, 1.0, 41)), 0.3):
+        both = _q_rows((0.7, 0.3), 20, zeta)
+        for i, alpha in enumerate((0.7, 0.3)):
+            assert np.array_equal(both[:, i], _q_rows(alpha, 20, zeta))
+        assert _q_rows(0.7, 0, zeta).shape == (1,) + np.shape(zeta)
+
+
+def test_tan_moment_sequence_short_lengths():
+    e = 2.0 * 0.8 - 1.0
+    assert tan_moment_sequence(0.8, 0).tolist() == [1.0]
+    assert tan_moment_sequence(0.8, 1).tolist() == [1.0, -e]
+    assert tan_moment_sequence(0.8, 2).tolist() == [1.0, -e, 2.0 * e * e / 2.0]
+    assert tan_moment_sequence(0.8, 2).dtype == np.float64
