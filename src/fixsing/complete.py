@@ -22,22 +22,15 @@ of the characteristic operator in a ratio fixed by j.  A corner part of
 the regular kernel, homogeneous of degree -1 at the corners (the
 plane-strain remainder), changes the second power of the solution, so its
 expansion in phi_j converges only algebraically.  The trial space then
-two corner functions with the power x^(2 rho1) at both ends, one even
-and one odd about x = 1/2; they free that power at each endpoint.
-Their images under S are analytic on [0, 1] (see _corner_images): they
-come from the principal-value rule of fixsing.oracle at the CHEB_ORDER
-Chebyshev points and enter the cosine moments through their interpolant.
-The system gains one cosine row per function, and the kernel moments use
-an endpoint-graded rule in xi (see kernel_matrix).
+gains two corner functions with the power x^(2 rho1) at both ends, one
+even and one odd about x = 1/2; they free that power at each endpoint.
+Their images under S are analytic on [0, 1] (see _corner_images), and
+the system gains one cosine row per function.
 
-The moments k_{nj} are double midpoint sums over the t1 x t2 grid.  A
-regular part declared analytic on the closed square, less any corner
-part, enters them through its interpolant on a fixed tensor of
-CHEB_ORDER^2 Chebyshev points; a corner part is linear in its three
-coefficients, whose lambda-free grids serve every kernel.  Only an
-undeclared kernel is evaluated on the grid.  The phi_j come at the
-xi-nodes from one table per rho1 and rule, which serves a whole
-truncation ladder, since a row does not depend on the degree.
+The moments k_{nj} are double sums over t1 x-midpoints and t2 xi-nodes
+(see kernel_matrix).  The phi_j come at the xi-nodes from one table per
+rho1 and rule, which serves a whole truncation ladder, since a row does
+not depend on the degree.
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ._quad import graded_rule, kernel_grid, values_at
-from .oracle import PVRule, apply_K, apply_S
+from .oracle import PVRule, apply_K, apply_S, full_residual
 from .regimes import classify, solvability_functional
 from .spectral import SpectralBasis, M_coeff, _moment_table, build_basis
 
@@ -62,8 +55,8 @@ COND_LIMIT = 1e12
 #: |beta| below which solve hands the equation to the Cauchy solver
 CAUCHY_BETA = 1e-9
 
-#: node budget of the principal-value rule behind the corner functions'
-#: S-images and the diagnostics of solve
+#: node budget of the oracle's rule behind the corner functions' S-images
+#: and the diagnostics of solve
 PV_NODES = 512
 
 #: points per variable of the Chebyshev tensor that samples an analytic
@@ -82,11 +75,10 @@ class KernelSpec:
     """Evaluatable regular kernel with its singular parameter.
 
     regular_part(x, xi) must accept broadcastable arrays and return finite
-    values on the open square and the diagonal; corner growth (toward
-    xi = x = 0 and xi = x = 1) is allowed since quadrature nodes are
-    interior midpoints.  It must be a pure function of (x, xi): solve caches
-    the samples of one spec, keyed by the spec itself, and reuses them for
-    every truncation order (see _kernel_grid and _kernel_tensor).
+    values on the open square and the diagonal; growth toward the corners
+    is allowed, as every node is interior.  It must be a pure function of
+    (x, xi): solve caches the samples of one spec, keyed by the spec
+    itself, for every truncation order (see _kernel_grid, _kernel_tensor).
     corner_form = (c1, c2, c3) states that regular_part contains the corner
     part _corner_part(c, x, xi), homogeneous of degree -1 at both
     corners; solve then adds the corner trial functions.  analytic declares
@@ -118,9 +110,8 @@ class SolveConfig:
     dense system keeps the cosine rows n = 1 .. N-1 and the basis modes
     j = 0 .. N-2.  Defaults follow the reference setup (N = 17, 200/210
     nodes); unequal t1 and t2 keep the two midpoint grids from sharing
-    nodes.  For kernels with a corner form t2 is the budget of the graded
-    xi-rule.  The principal-value rule of the corner functions'
-    S-images and of the diagnostics has the fixed budget PV_NODES.
+    nodes.  With a corner form t2 is the graded xi-rule's budget; the corner
+    S-images and the diagnostics take PVRule(PV_NODES) at any N, t1, t2.
     """
 
     N: int = 17
@@ -309,6 +300,14 @@ def _chebyshev_interpolation(t: int, graded: bool = False) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=1)
+def _pv_interpolation() -> np.ndarray:
+    """The barycentric matrix to the nodes of PVRule(PV_NODES) (read-only)."""
+    mat = _barycentric(PVRule(PV_NODES).quadrature()[0])
+    mat.setflags(write=False)
+    return mat
+
+
 def _interpolant_cosine_moments(rows: int, t1: int) -> np.ndarray:
     """(rows, CHEB_ORDER) map from values at the Chebyshev points to the
     t1-point midpoint moments against cos(n pi x), n < rows, of their
@@ -332,12 +331,10 @@ def kernel_matrix(kernel: KernelSpec, basis: SpectralBasis,
                   config: SolveConfig, n_max: int, extra=()) -> np.ndarray:
     """Moments k_{nj} = int int K(x, xi) phi_j(xi) cos(n pi x) dxi dx.
 
-    Double midpoint rule with t1 x-nodes and t2 xi-nodes; nodes are
-    interior, so the fixed-singularity corners are never touched.  A
+    Double midpoint rule with t1 x-nodes and t2 xi-nodes, all interior.  A
     kernel with a corner form makes the xi-integrand singular at xi = 0
     and 1, where the midpoint rule converges only algebraically (slowest
-    for small gamma0); its xi-nodes come from the endpoint-graded rule
-    with a budget of t2 nodes instead.
+    for small gamma0); its xi-nodes come from graded_rule(t2) instead.
     Returns shape (n_max+1, n_max+1) with j = 0..n_max columns.  Each
     further trial function in extra appends one column after the basis
     and one cosine row, so the matrix stays square.
@@ -406,17 +403,15 @@ def solve(kernel: KernelSpec, F, config: SolveConfig | None = None,
     """Solve the complete equation for |beta| < 1.
 
     Below CAUCHY_BETA the equation is the classical Cauchy one and goes,
-    with the same N, t1 and t2, to fixsing.cauchy.cauchy_solve; its
-    Solution is over a CauchyBasis.  Otherwise the truncated rows
-    n = 1..N are assembled and solved densely, then C is recovered from
-    the n = 0 row.  A kernel with a corner form adds the two corner
-    trial functions and the rows n = N, N+1 (see the module docstring).
-    The residual report of either route carries the linear-system residual
-    and the solvability-identity residual (exactly the n = 0 row restated,
-    on the spectral route through the weight moments).  When diagnostics
-    is set it adds the full equation residual at five interior points,
-    where the exact kernel referees the solve and its tensor, and, on the
-    spectral route, the regularization-constant cross-check of C, which
+    with the same N, t1 and t2, to fixsing.cauchy.cauchy_solve, whose
+    Solution is over a CauchyBasis.  Otherwise the rows n = 1..N are
+    solved densely and C is recovered from the n = 0 row; a corner form
+    adds the corner trial functions and rows n = N, N+1.  The report of
+    either route carries the linear-system residual and the solvability
+    identity (the n = 0 row restated).  diagnostics adds the largest
+    oracle.full_residual at five interior points, where the exact kernel
+    referees the solve and its tensor, and, on the spectral route, the
+    regularization-constant cross-check of C on the oracle's rule, which
     takes an analytic kernel's K[phi] from the tensor.
     """
     config = config or SolveConfig()
@@ -472,22 +467,22 @@ def _galerkin_solve(kernel: KernelSpec, F, config: SolveConfig) -> Solution:
 
 
 def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
+    from types import SimpleNamespace
     xs = np.linspace(0.1, 0.9, 5)
-    # phi once, at the five points and at the nodes of apply_S and apply_K
-    xi, w = graded_rule(PV_NODES)
-    at = (xs, graded_rule(PV_NODES, levels=24)[0], xi)
-    values = np.split(values_at(solution.evaluate, np.concatenate(at)),
-                      np.cumsum([len(a) for a in at[:-1]]))
-    phi_xi = values[-1]
+    rule = PVRule(PV_NODES)
+    xi, w = rule.quadrature()
+    # phi once, at the five points and the rule's nodes: full_residual's
+    # one sample, which the cross-check shares
+    at = np.append(xs, xi)
+    values = values_at(solution.evaluate, at)
+    phi_xi = values[len(xs):]
 
-    def phi(x):
-        hit = [v for a, v in zip(at, values) if a is x]
-        return hit[0] if hit else solution.evaluate(x)
-
+    def phi(x):  # full_residual samples phi at `at`, apply_K at xi
+        return (values if np.array_equal(x, at) else phi_xi if x is xi
+                else solution.evaluate(x))
+    sampled = SimpleNamespace(evaluate=phi, constant_C=solution.constant_C)
     # the exact kernel, at the five points only: the referee of the tensor
-    res = (apply_S(phi, kernel.beta, xs, PVRule(PV_NODES))
-           + apply_K(kernel, phi, xs, PV_NODES) + values_at(F, xs)
-           - solution.constant_C)
+    res = full_residual(sampled, kernel, F, xs, rule)
     report = {"equation_residual_max": float(np.max(np.abs(res)))}
     if not isinstance(solution.basis, SpectralBasis):
         # the beta = 0 weight is half the beta -> 0 limit of tan^e + cot^e:
@@ -507,7 +502,7 @@ def _diagnostics(solution: Solution, kernel: KernelSpec, F) -> dict:
         # rational corner part is applied exactly, one side at a time:
         # sum_i c_i a^i k @ b^(2-i) w phi
         k = _barycentric(x) @ (_kernel_tensor(kernel) @ (
-            _chebyshev_interpolation(PV_NODES, graded=True).T @ (w * phi_xi)))
+            _pv_interpolation().T @ (w * phi_xi)))
         for a, b, r in (_corner_sides(x[:, None], xi)
                         if kernel.corner_form else ()):
             k = k + (r @ (b ** (2.0 - p[:, None]) * w * phi_xi).T

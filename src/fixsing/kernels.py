@@ -273,8 +273,6 @@ class PlaneStrainParams:
         mu0 = G1 * (1.0 - nu2) / (G2 * (1.0 - nu1))
         nu0 = nu1 / (1.0 - nu1) - mu0 * nu2 / (1.0 - nu2)
         delta0 = (3.0 + mu0 - nu0) * (1.0 + 3.0 * mu0 + nu0)
-        if delta0 == 0.0:
-            raise ValueError("degenerate constants: delta0 vanishes")
         s = nu0 + mu0 - 1.0
         # the instance is frozen; set the derived fields as cached_property
         # sets gamma0, through the instance dict

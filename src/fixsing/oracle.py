@@ -18,12 +18,16 @@ from ._quad import (check_nodes, graded_rule, interior_points, kernel_grid,
 
 @dataclass(frozen=True)
 class PVRule:
-    """Node budget of the principal-value rule of apply_S."""
+    """Node budget of the one rule of apply_S and apply_K: graded_rule to
+    2^-24, for a phi that log-oscillates at an end or a corner kernel."""
 
     nodes: int = 512
 
     def __post_init__(self):
         check_nodes(self.nodes)
+
+    def quadrature(self):
+        return graded_rule(self.nodes, levels=24)
 
 
 def apply_S(phi, beta: float, x, rule: PVRule | None = None):
@@ -39,9 +43,7 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
     """
     rule = rule or PVRule()
     xs = interior_points(x)
-    # graded to 2^-24: a 2^-12 end panel does not resolve a bounded phi
-    # that log-oscillates at an end, such as every beta < -1 inverse
-    xi, w = graded_rule(rule.nodes, levels=24)
+    xi, w = rule.quadrature()
     phix = values_at(phi, xs)
     phixi = values_at(phi, xi)
 
@@ -58,12 +60,12 @@ def apply_S(phi, beta: float, x, rule: PVRule | None = None):
 def apply_K(kernel, phi, x, nodes: int = 512):
     """Plain quadrature of int_0^1 K(x, xi) phi(xi) dxi.
 
-    kernel may be a KernelSpec or a bare (x, xi) callable.  The graded rule
-    doubles as corner refinement for kernels growing toward the corners.
+    kernel may be a KernelSpec or a bare (x, xi) callable.  The rule is
+    apply_S's, PVRule(nodes), so both sample phi at the same nodes.
     """
     k = getattr(kernel, "regular_part", kernel)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    xi, w = graded_rule(nodes)
+    xi, w = PVRule(nodes).quadrature()
     vals = kernel_grid(k, xs, xi) @ (w * values_at(phi, xi))
     return vals if np.ndim(x) else float(vals[0])
 
@@ -71,11 +73,20 @@ def apply_K(kernel, phi, x, nodes: int = 512):
 def full_residual(solution, kernel, F, xs, rule: PVRule | None = None):
     """Residual S[phi] + K[phi] + F(x) - C of a solved instance at points xs.
 
-    Near-zero values certify the solve end to end; solution only needs an
-    evaluate method and a constant_C attribute.
+    The package's one definition of the equation residual; near-zero
+    values certify the solve end to end.  solution only needs an evaluate
+    method and a constant_C attribute.
     """
     rule = rule or PVRule()
     xs = np.asarray(xs, dtype=float)
-    vals = apply_S(solution.evaluate, kernel.beta, xs, rule)
-    vals = vals + apply_K(kernel, solution.evaluate, xs, rule.nodes)
+    xi = rule.quadrature()[0]
+    # phi once, at xs and the rule's nodes, for both operators
+    at_xs, at_xi = np.split(values_at(solution.evaluate, np.append(xs, xi)),
+                            [xs.size])
+
+    def phi(x):
+        return at_xs if x is xs else at_xi if x is xi else solution.evaluate(x)
+
+    vals = apply_S(phi, kernel.beta, xs, rule)
+    vals = vals + apply_K(kernel, phi, xs, rule.nodes)
     return vals + values_at(F, xs) - solution.constant_C

@@ -40,14 +40,9 @@ def _specfun_checks(nodes):
     x = rng.uniform(-1.0, 1.0, 64)
     err = 0.0
     for n in range(1, 12):
-        err = max(err, float(np.max(np.abs(
-            specfun.chebyshev_T(n + 1, x)
-            - (2.0 * x * specfun.chebyshev_T(n, x)
-               - specfun.chebyshev_T(n - 1, x))))))
-        err = max(err, float(np.max(np.abs(
-            specfun.chebyshev_U(n + 1, x)
-            - (2.0 * x * specfun.chebyshev_U(n, x)
-               - specfun.chebyshev_U(n - 1, x))))))
+        for poly in (specfun.chebyshev_T, specfun.chebyshev_U):
+            err = max(err, float(np.max(np.abs(
+                poly(n + 1, x) - (2.0 * x * poly(n, x) - poly(n - 1, x))))))
     yield CheckResult("specfun", "chebyshev-recurrence", err, 1e-10)
 
     # reference by the graded rule in x = (1 + z)/2, where 1 - z = 2(1 - x)

@@ -186,3 +186,9 @@ def test_scalar_load_is_broadcast():
     xs = np.linspace(0.1, 0.9, 5)
     assert (cauchy_inverse(lambda x: 1.5, xs).tobytes()
             == cauchy_inverse(lambda x: np.full_like(x, 1.5), xs).tobytes())
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_truncation_order_must_be_positive(n):
+    with pytest.raises(ValueError, match="truncation order must be positive"):
+        cauchy_solve(lambda x, xi: np.zeros_like(x * xi), lambda x: x, N=n)

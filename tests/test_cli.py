@@ -178,6 +178,23 @@ def test_malformed_config_file(tmp_path):
     assert main(["antiplane", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text,flags,message", [
+    ("lambda = stiff\n", [], "parameter 'lambda' must be a number"),
+    ("lambda = 0.5\nload = cubic\n", [],
+     "unknown load 'cubic'; choose from ['linear', 'quadratic', 'uniform']"),
+    ("lambda = 0.5\n", ["--N", "5", "--grid", "1"],
+     "grid needs at least two points"),
+], ids=["value-not-a-number", "unknown-load", "grid-of-one"])
+def test_configuration_errors_exit_2_with_their_message(text, flags, message,
+                                                        tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["antiplane", "--config", str(cfg), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(fixsing.complete, "COND_LIMIT", 1e-3)
     out = tmp_path / "o.csv"

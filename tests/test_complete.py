@@ -763,3 +763,74 @@ def test_exact_residual_sees_a_perturbed_tensor(kind, monkeypatch):
     monkeypatch.setattr(complete, "_kernel_tensor", lambda k: tensor)
     off = solve(kern, lambda x: x).residual_report["equation_residual_max"]
     assert abs(off - clean) > 1e-7
+
+
+@pytest.mark.parametrize("kind", ["antiplane", "plane-strain"])
+def test_diagnostics_sample_phi_at_the_five_points_and_one_rule(
+        kind, monkeypatch):
+    # apply_S, apply_K and the cross-check share the oracle's rule, so the
+    # one phi pass of a diagnosed solve covers 5 + 480 points
+    from fixsing.oracle import PVRule
+
+    kern = (antiplane_kernel(AntiplaneParams(lam=0.7)) if kind == "antiplane"
+            else _plane_strain(2.0))
+    solve(kern, lambda x: x, SolveConfig(N=21), diagnostics=False)
+    calls = []
+    phi_matrix = SpectralBasis.phi_matrix
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return phi_matrix(self, x)
+
+    monkeypatch.setattr(SpectralBasis, "phi_matrix", counted)
+    solve(kern, lambda x: x, SolveConfig(N=21))
+    assert len(PVRule(complete.PV_NODES).quadrature()[0]) == 480
+    assert calls == [(5 + 480,)]
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05])
+def test_cross_check_gap_matches_a_deep_rule_reference(lam):
+    # the reference applies the exact kernel to phi on a 16384-node rule
+    # graded to 2^-60 at the weight functional's points.  The diagnostics'
+    # tensor half and exact corner half, on the oracle's 480 nodes, agree
+    # with it to 1e-8; 480 nodes graded only to 2^-12 miss by 7e-7 .. 7e-6
+    from fixsing._quad import graded_rule, kernel_grid
+    from fixsing.regimes import classify, solvability_functional
+
+    kern = _plane_strain(lam)
+    load = lambda x: x * x / 2.0
+    sol = solve(kern, load)
+    xi, w = graded_rule(16384, levels=60)
+    wphi = w * sol.evaluate(xi)
+    c_reg = (np.sin(np.pi * sol.basis.rho1) / 2.0 * solvability_functional(
+        classify(kern.beta),
+        lambda x: load(x) + kernel_grid(kern.regular_part, x, xi) @ wphi,
+        complete.PV_NODES))
+    gap = sol.residual_report["regularization_constant_gap"]
+    assert gap == pytest.approx(abs(c_reg - sol.constant_C), abs=1e-8)
+
+
+@pytest.mark.parametrize("kind,lam", [("antiplane", 0.5), ("antiplane", 1.0),
+                                      ("plane-strain", 0.05),
+                                      ("plane-strain", 2.0)],
+                         ids=["spectral", "cauchy", "ps-0.05", "ps-2"])
+def test_equation_residual_is_the_oracles_full_residual(kind, lam):
+    # the report takes its residual from oracle.full_residual on the same
+    # rule and points, bit for bit
+    from fixsing.oracle import PVRule, full_residual
+
+    kern = (antiplane_kernel(AntiplaneParams(lam=lam)) if kind == "antiplane"
+            else _plane_strain(lam))
+    load = lambda x: x * x / 2.0
+    sol = solve(kern, load)
+    res = full_residual(sol, kern, load, np.linspace(0.1, 0.9, 5),
+                        PVRule(complete.PV_NODES))
+    assert (sol.residual_report["equation_residual_max"]
+            == float(np.max(np.abs(res))))
+
+
+@pytest.mark.parametrize("n_max", [9, 16])
+def test_kernel_matrix_rejects_a_basis_below_the_moment_order(n_max):
+    with pytest.raises(ValueError, match="basis degree too small"):
+        kernel_matrix(ZERO_KERNEL, build_basis(0.5, 8),
+                      SolveConfig(N=5, t1=40, t2=42), n_max)

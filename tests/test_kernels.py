@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fixsing.kernels import (_TAYLOR_RADIUS, AntiplaneParams, NoBracketError,
                              PlaneStrainParams, _polylog, _reflection_rows,
@@ -159,6 +159,23 @@ def test_plane_strain_params_derive_their_constants():
 def test_plane_strain_params_validate_at_construction(args):
     with pytest.raises(ValueError):
         PlaneStrainParams(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g1=st.floats(1e-150, 1e150), g2=st.floats(1e-150, 1e150),
+       nu1=st.floats(0.0, 0.5, exclude_min=True),
+       nu2=st.floats(0.0, 0.5, exclude_min=True))
+@example(g1=1e-150, g2=1e150, nu1=0.5, nu2=1e-300)
+@example(g1=1e150, g2=1e-150, nu1=1e-300, nu2=0.5)
+@example(g1=1e-150, g2=1e150, nu1=1e-300, nu2=0.5)
+@example(g1=1e150, g2=1e-150, nu1=0.5, nu2=1e-300)
+def test_delta0_exceeds_two_on_the_validated_domain(g1, g2, nu1, nu2):
+    # nu0 lies in (-mu0, 1), so 3 + mu0 - nu0 > 2 and 1 + 3 mu0 + nu0 > 1:
+    # delta0 > 2 for any accepted constants, and no division by it fails.
+    # The moduli stay within 1e+-150, so that mu0 ~ G1/G2 is a finite
+    # float; delta0 may still overflow to inf at the largest ratios
+    p = PlaneStrainParams(g1, g2, nu1, nu2)
+    assert p.delta0 > 2.0
 
 
 def test_plane_strain_params_reject_derived_arguments():

@@ -164,3 +164,47 @@ def test_scalar_trial_function_is_broadcast():
     got = apply_K(kern, lambda t: 1.0, xs, 64)
     want = apply_K(kern, lambda t: np.full_like(t, 1.0), xs, 64)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [64, 512, 1024])
+def test_apply_S_and_apply_K_sample_phi_at_the_same_nodes(nodes):
+    # one graded rule for both operators: apply_S samples phi at x and
+    # then at the rule's nodes, apply_K at those nodes alone
+    kern = antiplane_kernel(AntiplaneParams(lam=0.5))
+    xs = np.array([0.3, 0.7])
+    seen = {"S": [], "K": []}
+
+    def recording(key):
+        def phi(t):
+            seen[key].append(np.array(t, copy=True))
+            return t * (1.0 - t)
+        return phi
+
+    apply_S(recording("S"), kern.beta, xs, PVRule(nodes))
+    apply_K(kern, recording("K"), xs, nodes)
+    assert len(seen["S"]) == 2 and len(seen["K"]) == 1
+    assert np.array_equal(seen["S"][1], seen["K"][0])
+    assert seen["K"][0].min() < 2.0 ** -23
+
+
+def test_full_residual_samples_phi_once():
+    # S[phi] and K[phi] share one sample of phi at xs and the rule's nodes
+    kern = antiplane_kernel(AntiplaneParams(lam=0.5))
+    sol = solve(kern, lambda x: x, SolveConfig(N=9, t1=60, t2=64),
+                diagnostics=False)
+    calls = []
+
+    class Counted:
+        constant_C = sol.constant_C
+
+        @staticmethod
+        def evaluate(x):
+            calls.append(np.size(x))
+            return sol.evaluate(x)
+
+    xs = np.array([0.2, 0.4, 0.6])
+    res = full_residual(Counted(), kern, lambda x: x, xs, PVRule(512))
+    assert calls == [3 + len(PVRule(512).quadrature()[0])]
+    want = (apply_S(sol.evaluate, kern.beta, xs, PVRule(512))
+            + apply_K(kern, sol.evaluate, xs, 512) + xs - sol.constant_C)
+    np.testing.assert_allclose(res, want, rtol=0, atol=1e-15)

@@ -694,3 +694,9 @@ def test_nonfinite_load_raises_from_the_functional(beta):
 
 def test_functional_at_minus_one_does_not_sample_the_load():
     assert solvability_functional(classify(-1.0), lambda t: np.nan * t) == 0.0
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 2.0, -3.0])
+def test_weight_exponent_is_undefined_outside_the_unit_interval(beta):
+    with pytest.raises(ValueError, match="only for \\|beta\\| < 1"):
+        classify(beta).weight_exponent

@@ -138,3 +138,9 @@ def test_weight_moment_tie():
         tie = (1.0 + (-1.0)**j) / np.pi * jacobi_chebyshev_integral_T(
             r - 1.0, -r, j)
         assert tie == pytest.approx(M_coeff(basis, j), abs=1e-10)
+
+
+@pytest.mark.parametrize("j", [-1, -4])
+def test_hyp3f2_rejects_a_negative_order(j):
+    with pytest.raises(ValueError, match="summation order must be nonnegative"):
+        hyp3F2_terminating(j, 0.75, 1.0)

@@ -442,3 +442,16 @@ def test_tan_moment_sequence_short_lengths():
     assert tan_moment_sequence(0.8, 1).tolist() == [1.0, -e]
     assert tan_moment_sequence(0.8, 2).tolist() == [1.0, -e, 2.0 * e * e / 2.0]
     assert tan_moment_sequence(0.8, 2).dtype == np.float64
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: build_basis(0.5, 3).phi(4, 0.5), "degree 4 outside the basis"),
+    (lambda: build_basis(0.5, 3).phi(-1, 0.5), "degree -1 outside the basis"),
+    (lambda: basis_from_rho1(0.4, 3), "rho1 must lie in"),
+    (lambda: basis_from_rho1(1.0, 3), "rho1 must lie in"),
+    (lambda: N_coeff(build_basis(0.5, 3), -1), "index must be nonnegative"),
+], ids=["phi-above-degree", "phi-negative", "rho1-below-half", "rho1-one",
+        "N-negative-index"])
+def test_spectral_arguments_outside_their_domain_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
