@@ -112,6 +112,8 @@ class SolveConfig:
     nodes); unequal t1 and t2 keep the two midpoint grids from sharing
     nodes.  With a corner form t2 is the graded xi-rule's budget; the corner
     S-images and the diagnostics take PVRule(PV_NODES) at any N, t1, t2.
+    t1 must exceed the highest load moment order, N - 1, or N + 1 with the
+    two rows of a corner form: a kernel with a corner form needs t1 >= N + 2.
     """
 
     N: int = 17
@@ -190,7 +192,8 @@ def fourier_load_coeffs(F, t1: int, n_max: int) -> np.ndarray:
     hence the precondition n_max < t1.
     """
     if n_max >= t1:
-        raise ValueError("n_max must stay below the node count")
+        raise ValueError(f"t1 = {t1} must exceed the highest load moment "
+                         f"order {n_max}")
     values = values_at(F, _midpoints(t1))
     with np.errstate(over="ignore", invalid="ignore"):  # the solvers raise
         return _cosines(n_max + 1, t1) @ values / t1
@@ -245,6 +248,18 @@ def _corner_part(form, x, xi):
     c1, c2, c3 = form
     return sum(((c1 * b + c2 * a) * b + c3 * a * a) * k
                for a, b, k in _corner_sides(x, xi))
+
+
+def _corner_symbol(beta: float, form, a):
+    """M(a) = 2 (cos pi a + beta) + c1 (a+1)(a+2) - c2 a(a+1) - c3 a(1-a),
+    the Mellin symbol at a corner of S with parameter beta plus the corner
+    part of form c (Duduchava, 1979), and M'(a), at scalar or array a.  A
+    kernel's own (beta, corner_form) gives the M of (0, (b1, b2, b3))."""
+    c1, c2, c3 = form
+    quad, lin = c1 - c2 + c3, 3.0 * c1 - c2 - c3
+    value = 2.0 * (np.cos(np.pi * a) + beta) + (quad * a + lin) * a + 2.0 * c1
+    slope = -2.0 * np.pi * np.sin(np.pi * a) + 2.0 * quad * a + lin
+    return value, slope
 
 
 @lru_cache(maxsize=4)

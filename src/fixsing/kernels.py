@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .complete import KernelSpec, _corner_part
+from .complete import KernelSpec, _corner_part, _corner_symbol
 
 #: switch radius for the cot-vs-rational Taylor series; the direct
 #: difference loses ~eps/u^2 digits, the truncated series ~u^7, and both
@@ -270,7 +270,8 @@ class PlaneStrainParams:
             raise ValueError("shear moduli must be positive")
         if not (0.0 < nu1 <= 0.5 and 0.0 < nu2 <= 0.5):
             raise ValueError("Poisson ratios must lie in (0, 1/2]")
-        mu0 = G1 * (1.0 - nu2) / (G2 * (1.0 - nu1))
+        den = G2 * (1.0 - nu1)  # 0 by underflow near G2 = 5e-324
+        mu0 = G1 * (1.0 - nu2) / den if den else math.inf
         nu0 = nu1 / (1.0 - nu1) - mu0 * nu2 / (1.0 - nu2)
         delta0 = (3.0 + mu0 - nu0) * (1.0 + 3.0 * mu0 + nu0)
         s = nu0 + mu0 - 1.0
@@ -281,11 +282,14 @@ class PlaneStrainParams:
             b1=(s * s - 4.0 * (1.0 - mu0 * mu0)) / delta0,
             b2=4.0 * (nu0 * (nu0 - 2.0) - 3.0 * (1.0 - mu0 * mu0)) / delta0,
             b3=(-4.0 * nu0 * (nu0 - 2.0) + 3.0 * s * s) / delta0)
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"modulus ratio G1/G2 = {G1 / G2:g} is too "
+                             "extreme: the derived constants are not finite")
 
     @cached_property
     def gamma0(self) -> float:
         """Root of the exponent equation on (0, 1), computed once."""
-        return _gamma0(self, 1e-13)
+        return _gamma0(self)
 
     @property
     def beta_eff(self) -> float:
@@ -293,10 +297,8 @@ class PlaneStrainParams:
         return float(-math.cos(math.pi * self.gamma0))
 
 
-def plane_strain_coeffs(G1: float, G2: float, nu1: float, nu2: float
-                        ) -> PlaneStrainParams:
-    """PlaneStrainParams(G1, G2, nu1, nu2), with its derived constants."""
-    return PlaneStrainParams(G1, G2, nu1, nu2)
+#: PlaneStrainParams under its functional name: the same constructor call
+plane_strain_coeffs = PlaneStrainParams
 
 
 def lambda_fn(gamma, params: PlaneStrainParams):
@@ -305,65 +307,47 @@ def lambda_fn(gamma, params: PlaneStrainParams):
     Lambda(g) = delta0 cos(pi g)
                 - 2 [mu0^2 - 3 - 2 mu0 (nu0 - 1) + nu0 (nu0 - 2)] g^2
                 - 4 (1 - mu0^2) + (nu0 + mu0 - 1)^2
+              = (delta0/2) M(g),  M = complete._corner_symbol of (b1, b2, b3)
     """
     gamma = np.asarray(gamma, dtype=float)
-    m, n = params.mu0, params.nu0
-    quad = m * m - 3.0 - 2.0 * m * (n - 1.0) + n * (n - 2.0)
-    out = (params.delta0 * np.cos(np.pi * gamma) - 2.0 * quad * gamma**2
-           - 4.0 * (1.0 - m * m) + (n + m - 1.0) ** 2)
+    out = 0.5 * params.delta0 * _corner_symbol(
+        0.0, (params.b1, params.b2, params.b3), gamma)[0]
     return out if gamma.ndim else float(out)
 
 
-def _lambda_prime(gamma: float, params: PlaneStrainParams) -> float:
-    m, n = params.mu0, params.nu0
-    quad = m * m - 3.0 - 2.0 * m * (n - 1.0) + n * (n - 2.0)
-    return (-np.pi * params.delta0 * math.sin(math.pi * gamma)
-            - 4.0 * quad * gamma)
+def gamma0_root(params: PlaneStrainParams) -> float:
+    """Root gamma0 of the exponent equation on (0, 1): params.gamma0, found
+    once per params without changing its constants.  A scan of M (the sign
+    of Lambda, as delta0 > 0) at the 999 nodes 1e-3 .. 0.999 brackets the
+    first sign change (several are flagged), and Newton steps on M run from
+    the bracket's midpoint to rounding.  A root below 1e-3 (lambda < 1.4e-6
+    at nu = 0.3) or an iterate leaving the bracket raises NoBracketError."""
+    return params.gamma0
 
 
-def gamma0_root(params: PlaneStrainParams, tol: float | None = None
-                ) -> float:
-    """Root gamma0 of the exponent equation on (0, 1).
-
-    A scan of the 999 interior nodes 1e-3 .. 0.999 brackets the sign
-    change (multiple changes are flagged, the first is used), bisection
-    narrows the bracket, and Newton steps polish to tol (1e-13 by
-    default).  A root outside the scanned range raises NoBracketError, as
-    for lambda below about 1.4e-6 at nu = 0.3, where gamma0 < 1e-3.
-    Without a tol this is params.gamma0, found once per params (its
-    constants are not modified); an explicit tol finds the root afresh.
-    """
-    return params.gamma0 if tol is None else _gamma0(params, tol)
-
-
-def _gamma0(params: PlaneStrainParams, tol: float) -> float:
+def _gamma0(params: PlaneStrainParams) -> float:
+    form = (params.b1, params.b2, params.b3)
     grid = np.linspace(0.0, 1.0, 1001)[1:-1]
-    vals = lambda_fn(grid, params)
-    signs = np.sign(vals)
+    signs = np.sign(_corner_symbol(0.0, form, grid)[0])
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
         raise NoBracketError(
             "exponent function has no sign change on the scanned range "
-            "[1e-3, 0.999]; constants outside the supported regime"
-        )
+            "[1e-3, 0.999]; constants outside the supported regime")
     if len(flips) > 1:
         warnings.warn("multiple sign changes of the exponent function; "
                       "using the first", stacklevel=2)
     lo, hi = grid[flips[0]], grid[flips[0] + 1]
-    flo = lambda_fn(lo, params)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        fmid = lambda_fn(mid, params)
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
     g = 0.5 * (lo + hi)
     for _ in range(60):
-        step = lambda_fn(g, params) / _lambda_prime(g, params)
+        value, slope = _corner_symbol(0.0, form, g)
+        step = value / slope
         g -= step
-        if abs(step) < tol:
+        if abs(step) < 1e-13:  # quadratic: the next step is below rounding
             break
+    if not lo <= g <= hi:
+        raise NoBracketError(
+            f"Newton steps left the exponent bracket [{lo:g}, {hi:g}]")
     return float(g)
 
 

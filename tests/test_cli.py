@@ -242,6 +242,29 @@ def test_exponent_root_below_scan_is_a_numerical_failure(args, capsys):
     assert "(0, 1)" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["plane-strain", "--lambda", "1e160"],
+    ["plane-strain", "--G1", "1e200", "--G2", "1"],
+], ids=["lambda", "G1-G2"])
+def test_constants_with_nonfinite_derived_values_exit_2(args, capsys):
+    # delta0 ~ mu0^2 overflows: one error line, no traceback
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+
+
+def test_corner_form_needs_t1_above_its_two_extra_rows(tmp_path, capsys):
+    # the corner functions' rows take the load moments to order N + 1
+    args = ["plane-strain", "--lambda", "2", "--N", "17", "--out",
+            str(tmp_path / "o.csv")]
+    assert main(args + ["--t1", "18"]) == 2
+    assert capsys.readouterr().err == (
+        "error: t1 = 18 must exceed the highest load moment order 18\n")
+    assert main(args + ["--t1", "19"]) == 0
+
+
 @pytest.mark.parametrize("grid", [",", ""])
 def test_empty_lambda_grid_is_a_configuration_error(grid, capsys):
     assert main(["gamma0", "--lambda-grid", grid]) == 2

@@ -13,8 +13,9 @@ from fixsing.kernels import (_TAYLOR_RADIUS, AntiplaneParams, NoBracketError,
                              antiplane_D, antiplane_R, antiplane_kernel,
                              cot_gap, fixed_gap, gamma0_root, lambda_fn,
                              plane_strain_coeffs, plane_strain_kernel)
-from fixsing.complete import SolveConfig, solve
+from fixsing.complete import SolveConfig, _corner_symbol, solve
 from fixsing import cauchy, oracle
+from plane_strain_reference import elastic_constants, first_root, mellin_symbol
 
 
 def test_antiplane_params():
@@ -173,9 +174,15 @@ def test_delta0_exceeds_two_on_the_validated_domain(g1, g2, nu1, nu2):
     # nu0 lies in (-mu0, 1), so 3 + mu0 - nu0 > 2 and 1 + 3 mu0 + nu0 > 1:
     # delta0 > 2 for any accepted constants, and no division by it fails.
     # The moduli stay within 1e+-150, so that mu0 ~ G1/G2 is a finite
-    # float; delta0 may still overflow to inf at the largest ratios
-    p = PlaneStrainParams(g1, g2, nu1, nu2)
+    # float; at the largest ratios delta0 ~ mu0^2 overflows, and the
+    # constants are rejected as not finite
+    try:
+        p = PlaneStrainParams(g1, g2, nu1, nu2)
+    except ValueError as exc:
+        assert "finite" in str(exc) and g1 / g2 > 1e150
+        return
     assert p.delta0 > 2.0
+    assert all(map(math.isfinite, (p.delta0, p.b1, p.b2, p.b3)))
 
 
 def test_plane_strain_params_reject_derived_arguments():
@@ -186,7 +193,12 @@ def test_plane_strain_params_reject_derived_arguments():
 @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.3, 0.3),
                                   (math.inf, 1.0, 0.3, 0.3),
                                   (1.0, math.inf, 0.3, 0.3),
-                                  (1.0, 1.0, 0.3, math.nan)])
+                                  (1.0, 1.0, 0.3, math.nan),
+                                  # delta0 overflows, b1 is NaN
+                                  (1e154, 1.0, 0.3, 0.3),
+                                  # mu0 overflows; G2 (1 - nu1) underflows
+                                  (1.0, 5e-324, 0.3, 0.3),
+                                  (1.0, 5e-324, 0.5, 0.3)])
 def test_plane_strain_params_reject_nonfinite(args):
     with pytest.raises(ValueError):
         plane_strain_coeffs(*args)
@@ -218,13 +230,18 @@ def test_exponent_root_large_stiffness_limit():
 def test_exponent_root_is_independently_confirmed():
     # endpoint analysis of the kernel gives the equivalent equation
     # 2 cos(pi g) + b1 (g+1)(g+2) - b2 g(g+1) - b3 g(1-g) = 0, derived via
-    # the Mellin transform of the cubic-denominator terms
-    for lam in (0.3, 0.5, 2.0, 100.0):
+    # the Mellin transform of the cubic-denominator terms: its 60-digit root
+    # from constants rebuilt in mpmath confirms gamma0 over lambda in
+    # [1e-4, 1e6], and the kernel's own corner symbol vanishes there
+    for k in range(-8, 13):
+        lam = 10.0 ** (k / 2)
         p = plane_strain_coeffs(lam, 1.0, 0.3, 0.3)
         g = gamma0_root(p)
-        alt = (2.0 * math.cos(math.pi * g) + p.b1 * (g + 1) * (g + 2)
-               - p.b2 * g * (g + 1) - p.b3 * g * (1 - g))
-        assert abs(alt) < 1e-10
+        want = first_root(mellin_symbol(elastic_constants(lam, 0.3, 0.3, 60)),
+                          dps=60)
+        assert abs(g - want) <= 1e-12 * want, lam
+        kern = plane_strain_kernel(p)
+        assert abs(_corner_symbol(kern.beta, kern.corner_form, g)[0]) <= 1e-14
 
 
 def test_exponent_root_monotone_trend():
@@ -238,7 +255,7 @@ def test_exponent_root_monotone_trend():
 
 def test_exponent_root_residual_and_simple_root():
     p = plane_strain_coeffs(0.5, 1.0, 0.3, 0.3)
-    g = gamma0_root(p, tol=1e-13)
+    g = gamma0_root(p)
     assert abs(lambda_fn(g, p)) < 1e-9
     h = 1e-6
     slope = (lambda_fn(g + h, p) - lambda_fn(g - h, p)) / (2.0 * h)
@@ -247,9 +264,19 @@ def test_exponent_root_residual_and_simple_root():
 
 def test_exponent_root_no_bracket(monkeypatch):
     p = plane_strain_coeffs(1.0, 1.0, 0.3, 0.3)
-    monkeypatch.setattr("fixsing.kernels.lambda_fn",
-                        lambda g, params: np.ones_like(np.asarray(g, float)))
+    monkeypatch.setattr("fixsing.kernels._corner_symbol",
+                        lambda beta, form, a: (np.ones_like(a), np.ones_like(a)))
     with pytest.raises(NoBracketError):
+        gamma0_root(p)
+
+
+def test_exponent_root_newton_leaving_the_bracket(monkeypatch):
+    # a sign change in [0.300, 0.301] whose slope points the wrong way:
+    # the Newton iterates run off, and the bracket's guarantee holds
+    p = plane_strain_coeffs(1.0, 1.0, 0.3, 0.3)
+    monkeypatch.setattr("fixsing.kernels._corner_symbol",
+                        lambda beta, form, a: (a - 0.3004, -np.ones_like(a)))
+    with pytest.raises(NoBracketError, match="left the exponent bracket"):
         gamma0_root(p)
 
 
@@ -421,25 +448,24 @@ def test_plane_strain_params_are_frozen_and_derive_the_root():
 
 
 def test_root_call_then_kernel_scans_once(monkeypatch):
-    # gamma0_root and the kernel share one root per params; an explicit
-    # tol scans afresh, to the same bits
+    # gamma0_root and the kernel share one root per params, and one scan
+    # of the corner symbol finds it
     import fixsing.kernels as kernels
 
     scans = []
 
-    def counted(gamma, params):
-        if np.ndim(gamma):
-            scans.append(len(gamma))
-        return lambda_fn(gamma, params)
+    def counted(beta, form, a):
+        if np.ndim(a):
+            scans.append(len(a))
+        return _corner_symbol(beta, form, a)
 
-    monkeypatch.setattr(kernels, "lambda_fn", counted)
+    monkeypatch.setattr(kernels, "_corner_symbol", counted)
     p = plane_strain_coeffs(0.123, 1.0, 0.3, 0.3)
     g = gamma0_root(p)
     plane_strain_kernel(p)
     assert p.gamma0 == g
+    assert gamma0_root(p) == g
     assert scans == [999]
-    assert gamma0_root(p, tol=1e-13) == g
-    assert scans == [999, 999]
 
 
 _REFLECTION_X = np.array([0.0, 1.0, 0.0, 0.37, 0.92, 0.05, 0.61])
